@@ -1,5 +1,5 @@
 //! Remote serving front-end load generator (DESIGN.md §14), recorded to
-//! `BENCH_remote.json` by `scripts/remote_gate.sh`.
+//! `BENCH_remote.json` by the gate runner (`src/bin/gates.rs`).
 //!
 //! The binary answers the question the wire adds on top of `bench_serve`:
 //! **does carrying the workload over framed TCP change a single response

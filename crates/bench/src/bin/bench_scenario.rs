@@ -1,5 +1,5 @@
 //! Scenario-ensemble throughput recorder (DESIGN.md §12), written to
-//! `BENCH_scenario.json` by `scripts/scenario_gate.sh`.
+//! `BENCH_scenario.json` by the gate runner (`src/bin/gates.rs`).
 //!
 //! Runs both built-in scenarios (the golden hurricane corridor and
 //! earthquake disc, 10 k draws each) against a freshly frozen snapshot

@@ -1,5 +1,5 @@
 //! Serving-layer load generator (DESIGN.md §9), recorded to
-//! `BENCH_serve.json` by `scripts/serve_gate.sh`.
+//! `BENCH_serve.json` by the gate runner (`src/bin/gates.rs`).
 //!
 //! The binary answers the two questions the serving layer exists for:
 //!

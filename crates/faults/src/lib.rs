@@ -498,8 +498,9 @@ impl FaultPlan {
 
     /// Named built-in **runtime** chaos scenarios, consumed by the serving
     /// layer (`serve --chaos <name>`), the remote transport's chaos layer
-    /// (`serve --listen --chaos <name>`), `scripts/chaos_gate.sh`,
-    /// `scripts/remote_gate.sh`, and the chaos battery in `tests/chaos.rs`.
+    /// (`serve --listen --chaos <name>`), the `chaos` and `remote` arms of
+    /// the gate runner (`src/bin/gates.rs`), and the chaos battery in
+    /// `tests/chaos.rs`.
     /// Most exercise one runtime fault family; `"torn-frame"` mixes the
     /// three transport families, and `"chaos-everything"` composes every
     /// runtime family.

@@ -2,12 +2,12 @@
 //! its configuration, per-stage timings, and metrics.
 //!
 //! A manifest is a plain `serde_json::Value` with a fixed schema
-//! ([`MANIFEST_SCHEMA`]) so downstream tooling — `scripts/trace_check.sh`,
-//! the CI trace gate, the determinism battery — can consume it without
-//! this crate's types. [`canonicalize`] strips everything wall-clock- or
-//! environment-dependent; two runs of the same configuration must produce
-//! byte-identical canonical manifests at any thread count (tested by
-//! `tests/determinism.rs`).
+//! ([`MANIFEST_SCHEMA`]) so downstream tooling — the gate runner's `trace`
+//! arms (`src/bin/gates.rs`), the determinism battery — can consume it
+//! without this crate's types. [`canonicalize`] strips everything
+//! wall-clock- or environment-dependent; two runs of the same
+//! configuration must produce byte-identical canonical manifests at any
+//! thread count (tested by `tests/determinism.rs`).
 
 use serde_json::{Map, Number, Value};
 

@@ -568,8 +568,8 @@ impl HealthTrace {
 
 /// The deterministic artifact a chaos run leaves behind: the injection
 /// ledger, the health trace, and the degradation counts. Byte-compared
-/// across thread counts by `tests/chaos.rs` and `scripts/chaos_gate.sh`
-/// via [`ChaosReport::to_canonical_json`].
+/// across thread counts by `tests/chaos.rs` and the gate runner's `chaos`
+/// arms via [`ChaosReport::to_canonical_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosReport {
     /// Every injection, counted per family.

@@ -35,7 +35,7 @@
 //! The whole stack extends the workspace determinism contract: for a
 //! fixed snapshot and workload, the response vector is **byte-identical
 //! at any thread count and with the cache enabled or disabled** —
-//! `tests/serve.rs` and `scripts/serve_gate.sh` enforce it.
+//! `tests/serve.rs` and the gate runner's `serve` arms enforce it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

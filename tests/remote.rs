@@ -151,7 +151,7 @@ fn multi_client_responses_are_byte_identical_across_snapshots_and_cache_modes() 
         // 1+2+8 clients × two snapshots closed cleanly; the stop flag may
         // beat the last EOFs to the poll loop, so this is an upper bound
         // (`serve --listen --sessions`, which has no stop flag, pins the
-        // exact count in scripts/remote_gate.sh).
+        // exact count in the gate runner's `remote` arms).
         assert!(report.sessions_closed <= 22);
     }
 }
