@@ -19,7 +19,7 @@
 //! provider.
 
 use intertubes_geo::{GeoPoint, Polyline};
-use intertubes_graph::{bridges, dijkstra, MultiGraph, NodeId};
+use intertubes_graph::{bridges, csr_dijkstra, EdgeId, MultiGraph, NodeId, SearchState};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -395,18 +395,18 @@ fn detour_geometry(road: &TransportNetwork, u: NodeId, v: NodeId) -> Option<Poly
 /// matches the city table; geometry endpoints are authoritative).
 fn cities_loc(net: &TransportNetwork, n: NodeId) -> GeoPoint {
     // Any incident corridor starts or ends at the city; pick the closer end.
-    for (e, _) in net.graph.neighbors(n) {
-        let g = &net.graph.edge(e).geometry;
-        let (u, v) = net.graph.endpoints(e);
-        return if u == n {
-            g.start()
-        } else if v == n {
-            g.end()
-        } else {
-            g.start()
-        };
+    let Some((e, _)) = net.graph.neighbors(n).next() else {
+        return GeoPoint::new_unchecked(0.0, 0.0);
+    };
+    let g = &net.graph.edge(e).geometry;
+    let (u, v) = net.graph.endpoints(e);
+    if u == n {
+        g.start()
+    } else if v == n {
+        g.end()
+    } else {
+        g.start()
     }
-    GeoPoint::new_unchecked(0.0, 0.0)
 }
 
 /// Sampled, gravity-weighted shortest-path edge betweenness.
@@ -419,13 +419,18 @@ fn sampled_betweenness(
     edges: &[(NodeId, NodeId, f64)],
     rng: &mut StdRng,
 ) -> Vec<f64> {
-    let mut g: MultiGraph<(), f64> = MultiGraph::new();
+    let mut g: MultiGraph<(), ()> = MultiGraph::new();
     for _ in 0..cities.len() {
         g.add_node(());
     }
-    for (u, v, len) in edges {
-        g.add_edge(*u, *v, *len);
+    for (u, v, _) in edges {
+        g.add_edge(*u, *v, ());
     }
+    let csr = g.to_csr();
+    let mut st = SearchState::new();
+    // Draft lengths are finite and non-negative (world generation runs
+    // before any fault injection), so no search below can fail.
+    let km = |e: EdgeId| edges[e.index()].2;
     // Cumulative population weights for pair sampling.
     let total_pop: f64 = cities.iter().map(|c| c.population as f64).sum();
     let mut cumulative = Vec::with_capacity(cities.len());
@@ -446,7 +451,7 @@ fn sampled_betweenness(
         if s == t {
             continue;
         }
-        if let Ok(Some(p)) = dijkstra(&g, NodeId(s as u32), NodeId(t as u32), |e| *g.edge(e)) {
+        if let Ok(Some(p)) = csr_dijkstra(&csr, &mut st, NodeId(s as u32), NodeId(t as u32), km) {
             for e in p.edges {
                 counts[e.index()] += 1;
             }

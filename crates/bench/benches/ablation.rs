@@ -12,6 +12,7 @@ use std::hint::black_box;
 use intertubes::geo::{
     CorridorIndex, CorridorLayer, GeoPoint, LocalProjection, OverlapParams, Polyline, SegmentGrid,
 };
+use intertubes::graph::{yen_k_shortest_csr, EdgeId, NodeId, YenWorkspace};
 use intertubes::map::{build_map, PipelineConfig};
 use intertubes::probes::{run_campaign, ProbeConfig};
 use intertubes::records::{generate_corpus, CorpusConfig};
@@ -125,19 +126,17 @@ fn bench_cluster_threshold(c: &mut Criterion) {
 /// Yen k ablation: the cost of widening the "existing paths" sample.
 fn bench_yen_k(c: &mut Criterion) {
     let s = study();
-    let graph = s.built.map.graph();
-    let km = |e: intertubes::graph::EdgeId| {
-        s.built.map.conduits[graph.edge(e).index()]
-            .geometry
-            .length_km()
-    };
-    let src = intertubes::graph::NodeId(0);
-    let dst = intertubes::graph::NodeId((graph.node_count() / 2) as u32);
+    let csr = s.built.map.graph().to_csr();
+    let lengths: Vec<f64> = s.built.map.conduits.iter().map(|c| c.geometry.length_km()).collect();
+    let km = |e: EdgeId| lengths[e.index()];
+    let src = NodeId(0);
+    let dst = NodeId((csr.node_count() / 2) as u32);
+    let mut ws = YenWorkspace::new();
     let mut group = c.benchmark_group("ablation_yen_k");
     for k in [1usize, 2, 4, 8] {
         group.bench_function(format!("k_{k}"), |b| {
             b.iter(|| {
-                black_box(intertubes::graph::yen_k_shortest(&graph, src, dst, k, km).unwrap())
+                black_box(yen_k_shortest_csr(&csr, &mut ws, src, dst, k, km, None).unwrap())
             })
         });
     }

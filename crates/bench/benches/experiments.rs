@@ -8,6 +8,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use intertubes::graph::{
+    csr_dijkstra, yen_k_shortest_csr, EdgeId, NodeId, SearchState, YenWorkspace,
+};
 use intertubes::map::{analyze_colocation, build_map, corridor_index, PipelineConfig};
 use intertubes::mitigation::{
     augment, heaviest_conduits, latency_study, robustness_suggestion, AugmentationConfig,
@@ -156,33 +159,36 @@ fn bench_latency(c: &mut Criterion) {
 fn bench_substrates(c: &mut Criterion) {
     let s = study();
     let graph = s.built.map.graph();
-    let km = |e: intertubes::graph::EdgeId| {
-        s.built.map.conduits[graph.edge(e).index()]
-            .geometry
-            .length_km()
-    };
+    let csr = graph.to_csr();
+    let lengths: Vec<f64> = s.built.map.conduits.iter().map(|c| c.geometry.length_km()).collect();
+    let km = |e: EdgeId| lengths[e.index()];
+    let mut st = SearchState::new();
     c.bench_function("substrate_dijkstra_map", |b| {
         b.iter(|| {
             black_box(
-                intertubes::graph::dijkstra(
-                    &graph,
-                    intertubes::graph::NodeId(0),
-                    intertubes::graph::NodeId((graph.node_count() - 1) as u32),
+                csr_dijkstra(
+                    &csr,
+                    &mut st,
+                    NodeId(0),
+                    NodeId((csr.node_count() - 1) as u32),
                     km,
                 )
                 .unwrap(),
             )
         })
     });
+    let mut ws = YenWorkspace::new();
     c.bench_function("substrate_yen_k4", |b| {
         b.iter(|| {
             black_box(
-                intertubes::graph::yen_k_shortest(
-                    &graph,
-                    intertubes::graph::NodeId(0),
-                    intertubes::graph::NodeId((graph.node_count() / 2) as u32),
+                yen_k_shortest_csr(
+                    &csr,
+                    &mut ws,
+                    NodeId(0),
+                    NodeId((csr.node_count() / 2) as u32),
                     4,
                     km,
+                    None,
                 )
                 .unwrap(),
             )

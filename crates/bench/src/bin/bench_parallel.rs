@@ -23,17 +23,17 @@
 //!
 //! The `latency_paths` row also carries `"path_query_us"`: per-query
 //! wall-clock for one point-to-point shortest-path query under each search
-//! engine (legacy `MultiGraph` Dijkstra, CSR Dijkstra, bidirectional, and
-//! ALT-pruned CSR), cold (scratch allocated per query) and warm (scratch
-//! reused) — the numbers EXPERIMENTS.md's path-engine table quotes.
+//! flavour (CSR Dijkstra, bidirectional, and ALT-pruned CSR), cold
+//! (scratch allocated per query) and warm (scratch reused) — the numbers
+//! EXPERIMENTS.md's path-engine table quotes.
 
 use std::time::Instant;
 
 use intertubes::obs;
 
 use intertubes::graph::{
-    bidirectional_dijkstra, csr_dijkstra, csr_dijkstra_filtered, dijkstra, EdgeId, Landmarks,
-    NodeId, SearchState, DEFAULT_LANDMARK_COUNT,
+    bidirectional_dijkstra, csr_dijkstra, csr_dijkstra_filtered, EdgeId, Landmarks, NodeId,
+    SearchState, DEFAULT_LANDMARK_COUNT,
 };
 use intertubes::map::{build_map, PipelineConfig};
 use intertubes::mitigation::latency_study;
@@ -68,8 +68,7 @@ fn time_ms<R>(threads: usize, mut run: impl FnMut() -> R) -> f64 {
 /// query) and warm (scratch reused across queries).
 fn path_query_us(s: &intertubes::Study) -> serde_json::Value {
     let map = &s.built.map;
-    let graph = map.graph();
-    let csr = graph.to_csr();
+    let csr = map.graph().to_csr();
     let lengths: Vec<f64> = map.conduits.iter().map(|c| c.geometry.length_km()).collect();
     let km = |e: EdgeId| lengths[e.index()];
     let landmarks = Landmarks::build(&csr, DEFAULT_LANDMARK_COUNT, km).ok();
@@ -95,9 +94,6 @@ fn path_query_us(s: &intertubes::Study) -> serde_json::Value {
         round3(t0.elapsed().as_secs_f64() * 1e6 / n as f64)
     };
 
-    let multigraph = time(&mut |a, b| {
-        std::hint::black_box(dijkstra(&graph, NodeId(a), NodeId(b), km).ok());
-    });
     let csr_cold = time(&mut |a, b| {
         let mut st = SearchState::new();
         std::hint::black_box(csr_dijkstra(&csr, &mut st, NodeId(a), NodeId(b), km).ok());
@@ -156,7 +152,6 @@ fn path_query_us(s: &intertubes::Study) -> serde_json::Value {
 
     serde_json::json!({
         "sample_pairs": n,
-        "multigraph_dijkstra": multigraph,
         "csr_dijkstra_cold": csr_cold,
         "csr_dijkstra_warm": csr_warm,
         "bidirectional_cold": bidi_cold,

@@ -136,7 +136,13 @@ pub fn print_fig2_fig3() {
 pub fn print_fig4() {
     let s = study();
     hr("Figure 4 — fraction of conduits co-located with transport ROWs");
-    let report = s.colocation().expect("overlap params are valid");
+    let report = match s.colocation() {
+        Ok(report) => report,
+        Err(e) => {
+            println!("co-location analysis failed: {e}");
+            return;
+        }
+    };
     println!("{:<12} {}", "bin", "road   rail   road∪rail");
     let road = report.road.relative();
     let rail = report.rail.relative();
@@ -163,7 +169,13 @@ pub fn print_fig4() {
 pub fn print_fig5() {
     let s = study();
     hr("Figure 5 — conduits on no road/rail corridor (pipeline ROWs)");
-    let report = s.colocation().expect("overlap params are valid");
+    let report = match s.colocation() {
+        Ok(report) => report,
+        Err(e) => {
+            println!("co-location analysis failed: {e}");
+            return;
+        }
+    };
     println!(
         "{} of {} conduits are predominantly off road/rail corridors",
         report.off_corridor, report.total

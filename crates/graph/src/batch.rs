@@ -13,35 +13,22 @@
 //!
 //! Note on invalid costs: point queries stop as soon as their target
 //! settles, so a NaN/negative cost on an edge the search never reaches is
-//! not observed (the original full-tree engine would have reported it).
-//! Well-formed cost functions are unaffected.
+//! not observed (a full tree, which shared-source groups build, would
+//! report it). Well-formed cost functions are unaffected.
 
 use std::collections::BTreeMap;
 
 use crate::{
     csr_dijkstra, csr_shortest_path_tree, yen_k_shortest_csr, CsrGraph, EdgeId, GraphError,
-    Landmarks, MultiGraph, NodeId, Path, SearchState, YenWorkspace, DEFAULT_LANDMARK_COUNT,
+    Landmarks, NodeId, Path, SearchState, YenWorkspace,
 };
 
 /// Shortest path for every pair, in input order.
 ///
-/// Each element is exactly what [`dijkstra`] returns for that pair (see
-/// the module note on invalid costs). Freezes a [`CsrGraph`] and
-/// delegates to [`par_shortest_paths_csr`]; callers issuing repeated
-/// batches over one graph should freeze once and call that directly.
-pub fn par_shortest_paths<N: Sync, E: Sync>(
-    g: &MultiGraph<N, E>,
-    pairs: &[(NodeId, NodeId)],
-    cost: impl Fn(EdgeId) -> f64 + Sync,
-) -> Vec<Result<Option<Path>, GraphError>> {
-    par_shortest_paths_csr(&g.to_csr(), pairs, cost)
-}
-
-/// [`par_shortest_paths`] over a prebuilt [`CsrGraph`].
-///
-/// Pairs sharing a source are answered from one shortest-path tree; the
-/// tree is identical to the per-pair search, so results (and their input
-/// order) are unchanged.
+/// Each element is exactly what [`csr_dijkstra`] returns for that pair
+/// (see the module note on invalid costs). Pairs sharing a source are
+/// answered from one shortest-path tree; the tree is identical to the
+/// per-pair search, so results (and their input order) are unchanged.
 pub fn par_shortest_paths_csr(
     csr: &CsrGraph,
     pairs: &[(NodeId, NodeId)],
@@ -68,8 +55,8 @@ pub fn par_shortest_paths_csr(
                 continue;
             }
             // Shared source: one full tree answers every target. Per-pair
-            // error precedence matches `dijkstra`: target bounds first,
-            // then source bounds / search errors.
+            // error precedence matches `csr_dijkstra`: target bounds
+            // first, then source bounds / search errors.
             let tree = if source.index() >= n {
                 Err(oob(source))
             } else {
@@ -101,25 +88,8 @@ pub fn par_shortest_paths_csr(
 
 /// Yen's k cheapest loopless paths for every pair, in input order.
 ///
-/// Each element is exactly what [`yen_k_shortest`](crate::yen_k_shortest)
-/// returns for that pair. Freezes a [`CsrGraph`], builds an ALT
-/// [`Landmarks`] table to prune the spur searches, and delegates to
-/// [`par_yen_k_shortest_csr`].
-pub fn par_yen_k_shortest<N: Sync, E: Sync>(
-    g: &MultiGraph<N, E>,
-    pairs: &[(NodeId, NodeId)],
-    k: usize,
-    cost: impl Fn(EdgeId) -> f64 + Sync,
-) -> Vec<Result<Vec<Path>, GraphError>> {
-    let csr = g.to_csr();
-    // A failed build (invalid cost) just disables pruning; the per-pair
-    // searches will surface the same error themselves.
-    let lm = Landmarks::build(&csr, DEFAULT_LANDMARK_COUNT, &cost).ok();
-    par_yen_k_shortest_csr(&csr, pairs, k, cost, lm.as_ref())
-}
-
-/// [`par_yen_k_shortest`] over a prebuilt [`CsrGraph`] and optional
-/// landmark table (which must match the graph + cost function).
+/// Each element is exactly what [`yen_k_shortest_csr`] returns for that
+/// pair; `lm`, when given, must match the graph + cost function.
 pub fn par_yen_k_shortest_csr(
     csr: &CsrGraph,
     pairs: &[(NodeId, NodeId)],
@@ -141,7 +111,7 @@ pub fn par_yen_k_shortest_csr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dijkstra, yen_k_shortest};
+    use crate::MultiGraph;
 
     /// A ring of `n` nodes with unit edges plus one heavy chord.
     fn ring(n: u32) -> MultiGraph<(), f64> {
@@ -159,37 +129,32 @@ mod tests {
     #[test]
     fn batch_matches_serial_dijkstra() {
         let g = ring(12);
+        let csr = g.to_csr();
         let pairs: Vec<(NodeId, NodeId)> = (0..12u32)
             .flat_map(|a| (0..12u32).map(move |b| (NodeId(a), NodeId(b))))
             .collect();
         let cost = |e: EdgeId| *g.edge(e);
-        let batch = par_shortest_paths(&g, &pairs, cost);
+        let batch = par_shortest_paths_csr(&csr, &pairs, cost);
+        let mut st = SearchState::new();
         for (i, &(s, t)) in pairs.iter().enumerate() {
-            let serial = dijkstra(&g, s, t, cost).unwrap();
-            let parallel = batch[i].as_ref().unwrap();
-            assert_eq!(
-                serial.as_ref().map(|p| (&p.nodes, p.cost)),
-                parallel.as_ref().map(|p| (&p.nodes, p.cost)),
-                "pair {s:?}->{t:?}"
-            );
+            let serial = csr_dijkstra(&csr, &mut st, s, t, cost);
+            assert_eq!(batch[i], serial, "pair {s:?}->{t:?}");
         }
     }
 
     #[test]
     fn batch_matches_serial_yen() {
         let g = ring(8);
+        let csr = g.to_csr();
         let pairs: Vec<(NodeId, NodeId)> =
             (1..8u32).map(|b| (NodeId(0), NodeId(b))).collect();
         let cost = |e: EdgeId| *g.edge(e);
-        let batch = par_yen_k_shortest(&g, &pairs, 3, cost);
+        let lm = Landmarks::build(&csr, 4, cost).ok();
+        let batch = par_yen_k_shortest_csr(&csr, &pairs, 3, cost, lm.as_ref());
+        let mut ws = YenWorkspace::new();
         for (i, &(s, t)) in pairs.iter().enumerate() {
-            let serial = yen_k_shortest(&g, s, t, 3, cost).unwrap();
-            let parallel = batch[i].as_ref().unwrap();
-            assert_eq!(serial.len(), parallel.len());
-            for (sp, pp) in serial.iter().zip(parallel) {
-                assert_eq!(sp.nodes, pp.nodes);
-                assert_eq!(sp.edges, pp.edges);
-            }
+            let serial = yen_k_shortest_csr(&csr, &mut ws, s, t, 3, cost, None);
+            assert_eq!(batch[i], serial, "pair {s:?}->{t:?}");
         }
     }
 
@@ -197,14 +162,18 @@ mod tests {
     fn out_of_bounds_errors_propagate_in_order() {
         let g = ring(4);
         let pairs = [(NodeId(0), NodeId(99)), (NodeId(0), NodeId(1))];
-        let batch = par_shortest_paths(&g, &pairs, |e| *g.edge(e));
-        assert!(batch[0].is_err());
-        assert!(batch[1].is_ok());
+        let batch = par_shortest_paths_csr(&g.to_csr(), &pairs, |e| *g.edge(e));
+        assert!(matches!(
+            batch[0],
+            Err(GraphError::NodeOutOfBounds { index: 99, .. })
+        ));
+        assert_eq!(batch[1].as_ref().map(|p| p.as_ref().map(|p| p.cost)), Ok(Some(1.0)));
     }
 
     #[test]
     fn grouped_sources_and_lone_sources_agree_with_serial() {
         let g = ring(10);
+        let csr = g.to_csr();
         // A mix: several targets for source 2, one lone pair for source 7,
         // an out-of-bounds source, and an out-of-bounds target mid-group.
         let pairs = [
@@ -215,9 +184,11 @@ mod tests {
             (NodeId(2), NodeId(8)),
         ];
         let cost = |e: EdgeId| *g.edge(e);
-        let batch = par_shortest_paths(&g, &pairs, cost);
+        let batch = par_shortest_paths_csr(&csr, &pairs, cost);
+        let mut st = SearchState::new();
         for (i, &(s, t)) in pairs.iter().enumerate() {
-            assert_eq!(batch[i], dijkstra(&g, s, t, cost), "pair {s:?}->{t:?}");
+            let serial = csr_dijkstra(&csr, &mut st, s, t, cost);
+            assert_eq!(batch[i], serial, "pair {s:?}->{t:?}");
         }
     }
 }

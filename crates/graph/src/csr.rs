@@ -11,16 +11,16 @@
 //! [`EdgeId`]).
 //!
 //! Half-edge order is exactly the `MultiGraph` adjacency order, so every
-//! search over the CSR view relaxes edges in the same sequence as the
-//! pointer-chasing original — the byte-identity arguments in DESIGN.md §10
-//! lean on that.
+//! search over the CSR view relaxes edges in the same sequence as a search
+//! over the `MultiGraph` itself — the byte-identity arguments in DESIGN.md
+//! §10 lean on that.
 
 use crate::{EdgeId, MultiGraph, NodeId};
 
 /// A frozen, cache-friendly view of a [`MultiGraph`]'s topology.
 ///
-/// Build one with [`MultiGraph::to_csr`] (or [`CsrGraph::from_multigraph`])
-/// and share it read-only across as many searches as needed.
+/// Build one with [`MultiGraph::to_csr`] and share it read-only across as
+/// many searches as needed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `offsets[n]..offsets[n + 1]` indexes node `n`'s half-edges.
@@ -34,36 +34,6 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Flattens `g`'s adjacency into CSR form, preserving the half-edge
-    /// order exactly (self-loops appear once, as in the source adjacency).
-    pub fn from_multigraph<N, E>(g: &MultiGraph<N, E>) -> CsrGraph {
-        let n = g.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::new();
-        let mut edge_ids = Vec::new();
-        offsets.push(0);
-        for node in g.node_ids() {
-            for (e, m) in g.neighbors(node) {
-                edge_ids.push(e.0);
-                targets.push(m.0);
-            }
-            offsets.push(targets.len() as u32);
-        }
-        let endpoints = g
-            .edge_ids()
-            .map(|e| {
-                let (u, v) = g.endpoints(e);
-                (u.0, v.0)
-            })
-            .collect();
-        CsrGraph {
-            offsets,
-            targets,
-            edge_ids,
-            endpoints,
-        }
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.offsets.len() - 1
@@ -119,8 +89,34 @@ impl<N, E> MultiGraph<N, E> {
     /// Freezes this graph's topology into a [`CsrGraph`] for the search
     /// stack. Payloads stay in this arena; costs reach searches through
     /// closures keyed by [`EdgeId`].
+    ///
+    /// The half-edge order is exactly this graph's adjacency order
+    /// (self-loops appear once, as in the source adjacency).
     pub fn to_csr(&self) -> CsrGraph {
-        CsrGraph::from_multigraph(self)
+        let mut offsets = Vec::with_capacity(self.node_count() + 1);
+        let mut targets = Vec::new();
+        let mut edge_ids = Vec::new();
+        offsets.push(0);
+        for node in self.node_ids() {
+            for (e, m) in self.neighbors(node) {
+                edge_ids.push(e.0);
+                targets.push(m.0);
+            }
+            offsets.push(targets.len() as u32);
+        }
+        let endpoints = self
+            .edge_ids()
+            .map(|e| {
+                let (u, v) = self.endpoints(e);
+                (u.0, v.0)
+            })
+            .collect();
+        CsrGraph {
+            offsets,
+            targets,
+            edge_ids,
+            endpoints,
+        }
     }
 }
 

@@ -8,21 +8,25 @@
 //! This crate provides:
 //!
 //! * [`MultiGraph`] — an arena-based undirected multigraph with typed ids
-//!   ([`NodeId`], [`EdgeId`]) and arbitrary node/edge payloads.
-//! * [`dijkstra`] / [`shortest_path_tree`] — non-negative-cost shortest
-//!   paths with a caller-supplied edge cost function, so the same engine
-//!   serves km-cost routing (latency, §5.3), hop-cost routing (path
-//!   inflation, §5.1) and shared-risk-cost routing (eq. 1).
-//! * [`yen_k_shortest`] — loopless k-shortest paths (for the "average of
-//!   existing paths" series of Fig. 12).
+//!   ([`NodeId`], [`EdgeId`]) and arbitrary node/edge payloads, frozen
+//!   for search with [`MultiGraph::to_csr`].
+//! * One path engine over the frozen [`CsrGraph`], with a caller-supplied
+//!   edge cost function, so the same engine serves km-cost routing
+//!   (latency, §5.3), hop-cost routing (path inflation, §5.1) and
+//!   shared-risk-cost routing (eq. 1): reusable [`SearchState`] scratch,
+//!   full trees ([`csr_shortest_path_tree`]), early-exit point queries
+//!   ([`csr_dijkstra`], [`csr_dijkstra_filtered`]),
+//!   [`bidirectional_dijkstra`], ALT [`Landmarks`] pruning, loopless
+//!   k-shortest paths ([`yen_k_shortest_csr`], for the "average of
+//!   existing paths" series of Fig. 12) and order-preserving batches
+//!   ([`par_shortest_paths_csr`], [`par_yen_k_shortest_csr`]).
 //! * [`connected_components`], [`bridges`], [`articulation_points`],
 //!   [`stoer_wagner_min_cut`] — robustness primitives ("number of fiber cuts
 //!   needed to partition", §4).
-//! * [`CsrGraph`] + the `csr_*` search family — the cache-friendly hot
-//!   path: frozen flat adjacency, reusable [`SearchState`] scratch,
-//!   early-exit / [`bidirectional_dijkstra`] point queries, and ALT
-//!   [`Landmarks`] pruning. Same results as the `MultiGraph` engines,
-//!   byte for byte; only the cost changes (DESIGN.md §10).
+//!
+//! The textbook `MultiGraph` Dijkstra the engine replaced lives on only as
+//! a test reference (`tests/common/`): the property batteries hold every
+//! CSR search to its paths, byte for byte (DESIGN.md §10).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,21 +34,17 @@
 mod batch;
 mod connectivity;
 mod csr;
-mod dijkstra;
 mod landmarks;
 mod multigraph;
 mod path;
 mod search;
 mod yen;
 
-pub use batch::{
-    par_shortest_paths, par_shortest_paths_csr, par_yen_k_shortest, par_yen_k_shortest_csr,
-};
+pub use batch::{par_shortest_paths_csr, par_yen_k_shortest_csr};
 pub use connectivity::{
     articulation_points, bridges, connected_components, is_connected, stoer_wagner_min_cut,
 };
 pub use csr::CsrGraph;
-pub use dijkstra::{dijkstra, dijkstra_filtered, shortest_path_tree, ShortestPathTree};
 pub use landmarks::{Landmarks, DEFAULT_LANDMARK_COUNT};
 pub use multigraph::{EdgeId, EdgeRef, MultiGraph, NodeId};
 pub use path::Path;
@@ -52,7 +52,7 @@ pub use search::{
     bidirectional_dijkstra, csr_dijkstra, csr_dijkstra_filtered, csr_shortest_path_tree,
     SearchState,
 };
-pub use yen::{yen_k_shortest, yen_k_shortest_csr, YenWorkspace};
+pub use yen::{yen_k_shortest_csr, YenWorkspace};
 
 /// Errors produced by graph queries.
 #[derive(Debug, Clone, PartialEq, Eq)]

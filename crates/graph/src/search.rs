@@ -1,17 +1,18 @@
 //! Allocation-free searches over [`CsrGraph`] with reusable scratch state.
 //!
-//! The original `dijkstra.rs` routines allocate `vec![f64::INFINITY; n]`,
-//! `vec![None; n]`, and a fresh heap on every query; batch analyses issue
-//! hundreds of thousands of queries over the same few-hundred-node graph,
-//! so those allocations dominate. [`SearchState`] keeps the arrays alive
+//! A textbook Dijkstra allocates `vec![f64::INFINITY; n]`, `vec![None; n]`,
+//! and a fresh heap on every query; batch analyses issue hundreds of
+//! thousands of queries over the same few-hundred-node graph, so those
+//! allocations dominate. [`SearchState`] keeps the arrays alive
 //! across queries and resets only the entries the previous search touched
 //! (a "touched list"), making per-query setup O(nodes settled), not
 //! O(graph).
 //!
 //! Three search flavours share one core loop:
 //!
-//! * [`csr_shortest_path_tree`] — full single-source tree, identical to
-//!   [`crate::shortest_path_tree`] relaxation for relaxation;
+//! * [`csr_shortest_path_tree`] — full single-source tree; like the
+//!   textbook engine it reports an invalid cost on *any* edge it relaxes,
+//!   so callers whose costs may be NaN use it to reject a whole component;
 //! * [`csr_dijkstra`] / [`csr_dijkstra_filtered`] — s→t queries that stop
 //!   the moment the target settles, optionally pruned by an ALT landmark
 //!   bound ([`Landmarks`]);
@@ -21,7 +22,7 @@
 //!   the unidirectional engine).
 //!
 //! DESIGN.md §10 spells out why the early exit and the ALT pruning return
-//! byte-identical paths to the full-tree original: once a node settles its
+//! byte-identical paths to the full tree: once a node settles its
 //! distance and predecessor are final, and a pruned relaxation can never
 //! be part of the target's predecessor chain (the margin in
 //! [`prune_margin`] covers float rounding in the landmark bound).
@@ -96,8 +97,8 @@ impl SearchState {
     }
 
     /// Reconstructs the cheapest path found to `target` by the last
-    /// search, or `None` if unreached. Identical in shape and cost to
-    /// [`crate::ShortestPathTree::path_to`].
+    /// search, or `None` if unreached. The path follows the predecessor
+    /// chain back to the search source.
     pub fn path_to(&self, target: NodeId) -> Option<Path> {
         let cost = self.distance(target);
         if !cost.is_finite() {
@@ -125,8 +126,8 @@ fn prune_margin(ub: f64) -> f64 {
 }
 
 /// The shared search core. `target = None` builds a full tree; otherwise
-/// the loop stops when `target` settles. `banned` masks nodes/edges like
-/// [`crate::dijkstra_filtered`]; `lm` enables ALT pruning toward `target`.
+/// the loop stops when `target` settles. `banned` masks nodes/edges (see
+/// [`csr_dijkstra_filtered`]); `lm` enables ALT pruning toward `target`.
 fn run(
     csr: &CsrGraph,
     st: &mut SearchState,
@@ -211,9 +212,11 @@ fn run(
     Ok(())
 }
 
-/// Full single-source tree into `st`, relaxation-for-relaxation identical
-/// to [`crate::shortest_path_tree`]. Read results with
-/// [`SearchState::distance`] / [`SearchState::path_to`].
+/// Full single-source tree into `st`. Costs must be non-negative: the
+/// first NaN or negative cost relaxed anywhere in the source's component
+/// is an error, even on an edge no cheapest path uses; `f64::INFINITY`
+/// masks an edge. Read results with [`SearchState::distance`] /
+/// [`SearchState::path_to`].
 pub fn csr_shortest_path_tree(
     csr: &CsrGraph,
     st: &mut SearchState,
@@ -225,7 +228,9 @@ pub fn csr_shortest_path_tree(
 
 /// Cheapest `source → target` path, or `Ok(None)` if disconnected.
 /// Stops as soon as `target` settles; the returned path (nodes, edges,
-/// cost bits) is exactly what [`crate::dijkstra`] returns.
+/// cost bits) is exactly what a full [`csr_shortest_path_tree`] from
+/// `source` reconstructs, but an invalid cost is only reported if the
+/// search relaxes it before `target` settles.
 pub fn csr_dijkstra(
     csr: &CsrGraph,
     st: &mut SearchState,
@@ -243,9 +248,9 @@ pub fn csr_dijkstra(
     Ok(st.path_to(target))
 }
 
-/// Like [`csr_dijkstra`] with node/edge masks (the
-/// [`crate::dijkstra_filtered`] semantics: banned source → `Ok(None)`),
-/// plus optional ALT pruning via a [`Landmarks`] table built over the
+/// Like [`csr_dijkstra`] with node/edge masks — banned nodes and edges
+/// are skipped entirely, and a banned source yields `Ok(None)` — plus
+/// optional ALT pruning via a [`Landmarks`] table built over the
 /// *same* cost function. Landmark bounds stay admissible under masks —
 /// masking can only lengthen true distances — so the pruned search returns
 /// the same path the unpruned one would.
@@ -403,7 +408,7 @@ pub fn bidirectional_dijkstra(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dijkstra, dijkstra_filtered, MultiGraph};
+    use crate::MultiGraph;
 
     /// a(0) -1- b(1) -1- c(2) -1- d(3); a -5- d direct.
     fn g() -> MultiGraph<(), f64> {
@@ -416,19 +421,117 @@ mod tests {
         g
     }
 
+    /// One point query over `g` with its stored edge weights.
+    fn query(g: &MultiGraph<(), f64>, s: u32, t: u32) -> Result<Option<Path>, GraphError> {
+        csr_dijkstra(&g.to_csr(), &mut SearchState::new(), NodeId(s), NodeId(t), |e| {
+            *g.edge(e)
+        })
+    }
+
+    /// A masked point query over `g` with the given ban lists.
+    fn filtered(
+        g: &MultiGraph<(), f64>,
+        nodes: &[u32],
+        edges: &[u32],
+    ) -> Result<Option<Path>, GraphError> {
+        let mut banned_nodes = vec![false; g.node_count()];
+        let mut banned_edges = vec![false; g.edge_count()];
+        nodes.iter().for_each(|&n| banned_nodes[n as usize] = true);
+        edges.iter().for_each(|&e| banned_edges[e as usize] = true);
+        let csr = g.to_csr();
+        let mut st = SearchState::new();
+        csr_dijkstra_filtered(
+            &csr,
+            &mut st,
+            NodeId(0),
+            NodeId(3),
+            |e| *g.edge(e),
+            &banned_nodes,
+            &banned_edges,
+            None,
+        )
+    }
+
     #[test]
-    fn csr_dijkstra_matches_multigraph_dijkstra() {
+    fn csr_dijkstra_finds_every_cheapest_path() {
         let g = g();
         let csr = g.to_csr();
         let mut st = SearchState::new();
+        // Cheapest costs on the unit line with a heavy chord.
+        let expected = [
+            [0.0, 1.0, 2.0, 3.0],
+            [1.0, 0.0, 1.0, 2.0],
+            [2.0, 1.0, 0.0, 1.0],
+            [3.0, 2.0, 1.0, 0.0],
+        ];
         for s in 0..4u32 {
             for t in 0..4u32 {
-                let a = dijkstra(&g, NodeId(s), NodeId(t), |e| *g.edge(e)).unwrap();
-                let b = csr_dijkstra(&csr, &mut st, NodeId(s), NodeId(t), |e| *g.edge(e))
+                let p = csr_dijkstra(&csr, &mut st, NodeId(s), NodeId(t), |e| *g.edge(e))
+                    .unwrap()
                     .unwrap();
-                assert_eq!(a, b, "{s}->{t}");
+                assert_eq!(p.cost, expected[s as usize][t as usize], "{s}->{t}");
+                assert_eq!(p.hops(), s.abs_diff(t) as usize, "{s}->{t}");
+                assert!(p.is_valid_in(&g));
+                assert_eq!((p.source(), p.target()), (NodeId(s), NodeId(t)));
             }
         }
+        let p = query(&g, 0, 3).unwrap().unwrap();
+        assert_eq!(p.nodes, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+    }
+
+    #[test]
+    fn source_to_self_is_trivial() {
+        let p = query(&g(), 2, 2).unwrap().unwrap();
+        assert_eq!(p.nodes, vec![NodeId(2)]);
+        assert_eq!(p.cost, 0.0);
+    }
+
+    #[test]
+    fn parallel_edge_choice_prefers_cheaper() {
+        let mut g = g();
+        let cheap = g.add_edge(NodeId(0), NodeId(3), 0.5);
+        let p = query(&g, 0, 3).unwrap().unwrap();
+        assert_eq!(p.cost, 0.5);
+        assert_eq!(p.edges, vec![cheap]);
+    }
+
+    #[test]
+    fn unreachable_is_none() {
+        let mut g = g();
+        let lonely = g.add_node(());
+        assert_eq!(query(&g, 0, lonely.0), Ok(None));
+    }
+
+    #[test]
+    fn infinite_cost_masks_edge() {
+        let g = g();
+        // The direct edge is masked: the path must go the long way.
+        let p = csr_dijkstra(&g.to_csr(), &mut SearchState::new(), NodeId(0), NodeId(3), |e| {
+            if e == EdgeId(3) {
+                f64::INFINITY
+            } else {
+                5.0 * *g.edge(e)
+            }
+        })
+        .unwrap()
+        .unwrap();
+        assert_eq!(p.hops(), 3);
+        assert_eq!(p.cost, 15.0);
+    }
+
+    #[test]
+    fn tree_distances_are_consistent() {
+        let g = g();
+        let mut st = SearchState::new();
+        csr_shortest_path_tree(&g.to_csr(), &mut st, NodeId(0), |e| *g.edge(e)).unwrap();
+        assert_eq!(st.distance(NodeId(0)), 0.0);
+        assert_eq!(st.distance(NodeId(2)), 2.0);
+        assert_eq!(st.distance(NodeId(3)), 3.0);
+        assert_eq!(st.distance(NodeId(42)), f64::INFINITY);
+        let p = st.path_to(NodeId(2)).unwrap();
+        assert_eq!(p.cost, 2.0);
+        assert_eq!((p.source(), p.target()), (NodeId(0), NodeId(2)));
+        assert_eq!(st.path_to(NodeId(42)), None);
     }
 
     #[test]
@@ -451,59 +554,33 @@ mod tests {
     }
 
     #[test]
-    fn filtered_matches_dijkstra_filtered() {
+    fn filtered_banned_node_forces_detour() {
+        // Ban b: the search must take the direct a-d edge.
+        let p = filtered(&g(), &[1], &[]).unwrap().unwrap();
+        assert_eq!(p.cost, 5.0);
+        assert_eq!(p.edges, vec![EdgeId(3)]);
+    }
+
+    #[test]
+    fn filtered_banned_edges_respected() {
         let g = g();
-        let csr = g.to_csr();
-        let mut st = SearchState::new();
-        let mut banned_edges = vec![false; g.edge_count()];
-        banned_edges[3] = true;
-        let banned_nodes = vec![false; g.node_count()];
-        let a = dijkstra_filtered(
-            &g,
-            NodeId(0),
-            NodeId(3),
-            |e| *g.edge(e),
-            &banned_nodes,
-            &banned_edges,
-        )
-        .unwrap();
-        let b = csr_dijkstra_filtered(
-            &csr,
-            &mut st,
-            NodeId(0),
-            NodeId(3),
-            |e| *g.edge(e),
-            &banned_nodes,
-            &banned_edges,
-            None,
-        )
-        .unwrap();
-        assert_eq!(a, b);
+        // Ban the direct a-d edge: the long way remains.
+        let p = filtered(&g, &[], &[3]).unwrap().unwrap();
+        assert_eq!(p.edges, vec![EdgeId(0), EdgeId(1), EdgeId(2)]);
+        // Ban b-c as well: now unreachable.
+        assert_eq!(filtered(&g, &[], &[3, 1]), Ok(None));
     }
 
     #[test]
     fn filtered_banned_source_is_none_and_oob_targets_error() {
         let g = g();
-        let csr = g.to_csr();
-        let mut st = SearchState::new();
-        let mut banned_nodes = vec![false; g.node_count()];
-        banned_nodes[0] = true;
-        let r = csr_dijkstra_filtered(
-            &csr,
-            &mut st,
-            NodeId(0),
-            NodeId(3),
-            |e| *g.edge(e),
-            &banned_nodes,
-            &vec![false; g.edge_count()],
-            None,
-        )
-        .unwrap();
-        assert!(r.is_none());
-        let r = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(42), |e| *g.edge(e));
-        assert!(matches!(r, Err(GraphError::NodeOutOfBounds { .. })));
-        let r = csr_dijkstra(&csr, &mut st, NodeId(42), NodeId(0), |e| *g.edge(e));
-        assert!(matches!(r, Err(GraphError::NodeOutOfBounds { .. })));
+        assert_eq!(filtered(&g, &[0], &[]), Ok(None));
+        let r = query(&g, 0, 42);
+        assert!(matches!(r, Err(GraphError::NodeOutOfBounds { index: 42, .. })));
+        let r = query(&g, 42, 0);
+        assert!(matches!(r, Err(GraphError::NodeOutOfBounds { index: 42, .. })));
+        let r = csr_shortest_path_tree(&g.to_csr(), &mut SearchState::new(), NodeId(42), |_| 1.0);
+        assert!(matches!(r, Err(GraphError::NodeOutOfBounds { index: 42, .. })));
     }
 
     #[test]
@@ -511,13 +588,28 @@ mod tests {
         let g = g();
         let csr = g.to_csr();
         let mut st = SearchState::new();
-        let r = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(3), |_| -1.0);
-        assert!(matches!(r, Err(GraphError::InvalidCost { .. })));
-        let mut bwd = SearchState::new();
-        let r = bidirectional_dijkstra(&csr, &mut st, &mut bwd, NodeId(0), NodeId(3), |_| {
-            f64::NAN
-        });
-        assert!(matches!(r, Err(GraphError::InvalidCost { .. })));
+        for bad in [-1.0, f64::NAN] {
+            let r = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(3), |_| bad);
+            assert!(matches!(r, Err(GraphError::InvalidCost { .. })));
+            let r = csr_shortest_path_tree(&csr, &mut st, NodeId(0), |_| bad);
+            assert!(matches!(r, Err(GraphError::InvalidCost { .. })));
+            let mut bwd = SearchState::new();
+            let r = bidirectional_dijkstra(&csr, &mut st, &mut bwd, NodeId(0), NodeId(3), |_| bad);
+            assert!(matches!(r, Err(GraphError::InvalidCost { .. })));
+        }
+    }
+
+    #[test]
+    fn only_the_full_tree_sees_an_invalid_cost_past_the_target() {
+        let g = g();
+        let csr = g.to_csr();
+        let mut st = SearchState::new();
+        // Edge c-d is NaN; a->b settles b before c-d is ever relaxed.
+        let cost = |e: EdgeId| if e == EdgeId(2) { f64::NAN } else { *g.edge(e) };
+        let p = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(1), cost).unwrap();
+        assert_eq!(p.map(|p| p.cost), Some(1.0));
+        let r = csr_shortest_path_tree(&csr, &mut st, NodeId(0), cost);
+        assert_eq!(r, Err(GraphError::InvalidCost { edge: EdgeId(2) }));
     }
 
     #[test]
@@ -525,9 +617,12 @@ mod tests {
         let g = g();
         let csr = g.to_csr();
         let (mut fwd, mut bwd) = (SearchState::new(), SearchState::new());
+        let mut st = SearchState::new();
         for s in 0..4u32 {
             for t in 0..4u32 {
-                let uni = dijkstra(&g, NodeId(s), NodeId(t), |e| *g.edge(e)).unwrap();
+                let uni = csr_dijkstra(&csr, &mut st, NodeId(s), NodeId(t), |e| *g.edge(e))
+                    .unwrap()
+                    .unwrap();
                 let bi = bidirectional_dijkstra(
                     &csr,
                     &mut fwd,
@@ -536,17 +631,11 @@ mod tests {
                     NodeId(t),
                     |e| *g.edge(e),
                 )
+                .unwrap()
                 .unwrap();
-                match (uni, bi) {
-                    (Some(u), Some(b)) => {
-                        assert!((u.cost - b.cost).abs() < 1e-9, "{s}->{t}");
-                        assert!(b.is_valid_in(&g), "{s}->{t}: {:?}", b.nodes);
-                        assert_eq!(b.source(), NodeId(s));
-                        assert_eq!(b.target(), NodeId(t));
-                    }
-                    (None, None) => {}
-                    (u, b) => panic!("{s}->{t}: {u:?} vs {b:?}"),
-                }
+                assert_eq!(uni.cost, bi.cost, "{s}->{t}");
+                assert!(bi.is_valid_in(&g), "{s}->{t}: {:?}", bi.nodes);
+                assert_eq!((bi.source(), bi.target()), (NodeId(s), NodeId(t)));
             }
         }
     }

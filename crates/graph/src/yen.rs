@@ -6,12 +6,11 @@
 //! The algorithm runs over the frozen [`CsrGraph`] view with a reusable
 //! [`YenWorkspace`]: the spur searches share one [`SearchState`] scratch,
 //! and the ban masks are cleared via touched-lists instead of being
-//! reallocated per spur. Results are identical to the original
-//! `MultiGraph` implementation — same paths, same order, same cost bits —
-//! only the per-query allocation churn is gone (DESIGN.md §10).
+//! reallocated per spur, so a reused workspace returns the same paths, in
+//! the same order, to the cost bit, as a fresh one (DESIGN.md §10).
 
 use crate::{csr_dijkstra_filtered, CsrGraph, EdgeId, GraphError, Landmarks};
-use crate::{MultiGraph, NodeId, Path, SearchState};
+use crate::{NodeId, Path, SearchState};
 
 /// Reusable scratch for [`yen_k_shortest_csr`]: the spur-search state plus
 /// ban masks with touched-lists for O(dirty) clearing.
@@ -70,27 +69,14 @@ impl YenWorkspace {
 }
 
 /// Returns up to `k` cheapest *loopless* paths from `source` to `target`,
-/// sorted by ascending cost.
+/// sorted by ascending cost, reusing `ws` as scratch and optionally
+/// pruning the spur searches with ALT landmarks.
 ///
 /// Parallel edges are handled correctly: two paths through the same node
 /// sequence but different parallel conduits are distinct.
 ///
 /// `cost` must be non-negative and finite for present edges
-/// (`f64::INFINITY` masks an edge, as in [`crate::dijkstra`]).
-pub fn yen_k_shortest<N, E>(
-    g: &MultiGraph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    k: usize,
-    cost: impl Fn(EdgeId) -> f64,
-) -> Result<Vec<Path>, GraphError> {
-    let csr = g.to_csr();
-    let mut ws = YenWorkspace::new();
-    yen_k_shortest_csr(&csr, &mut ws, source, target, k, cost, None)
-}
-
-/// [`yen_k_shortest`] over a prebuilt [`CsrGraph`] with reusable scratch
-/// and optional ALT pruning of the spur searches.
+/// (`f64::INFINITY` masks an edge, as in [`crate::csr_dijkstra`]).
 ///
 /// `lm`, when given, must have been built over the same graph and cost
 /// function (spur-search ban masks are fine — masking only lengthens
@@ -98,7 +84,7 @@ pub fn yen_k_shortest<N, E>(
 ///
 /// Note on invalid costs: searches stop as soon as the target settles, so
 /// a NaN/negative cost on an edge the search never reaches is not
-/// observed; the original full-tree engine would have reported it.
+/// observed; a full-tree search would have reported it.
 /// Well-formed cost functions are unaffected.
 pub fn yen_k_shortest_csr(
     csr: &CsrGraph,
@@ -211,6 +197,13 @@ pub fn yen_k_shortest_csr(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{csr_dijkstra, MultiGraph};
+
+    /// Yen over a fresh workspace, without pruning.
+    fn yen(g: &MultiGraph<impl Sized, f64>, s: NodeId, t: NodeId, k: usize) -> Vec<Path> {
+        let mut ws = YenWorkspace::new();
+        yen_k_shortest_csr(&g.to_csr(), &mut ws, s, t, k, |e| *g.edge(e), None).unwrap()
+    }
 
     /// Classic Yen example topology plus a parallel edge.
     ///
@@ -239,7 +232,7 @@ mod tests {
     fn finds_k_paths_in_ascending_cost() {
         let g = g();
         // c(0) → h(5)
-        let ps = yen_k_shortest(&g, NodeId(0), NodeId(5), 4, |e| *g.edge(e)).unwrap();
+        let ps = yen(&g, NodeId(0), NodeId(5), 4);
         assert!(ps.len() >= 3, "found {}", ps.len());
         for w in ps.windows(2) {
             assert!(w[0].cost <= w[1].cost + 1e-12);
@@ -267,7 +260,7 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, b, 1.0);
         g.add_edge(a, b, 2.0);
-        let ps = yen_k_shortest(&g, a, b, 5, |e| *g.edge(e)).unwrap();
+        let ps = yen(&g, a, b, 5);
         assert_eq!(ps.len(), 2);
         assert_eq!(ps[0].cost, 1.0);
         assert_eq!(ps[1].cost, 2.0);
@@ -277,14 +270,10 @@ mod tests {
     #[test]
     fn k_zero_and_disconnected() {
         let g = g();
-        assert!(yen_k_shortest(&g, NodeId(0), NodeId(5), 0, |e| *g.edge(e))
-            .unwrap()
-            .is_empty());
+        assert!(yen(&g, NodeId(0), NodeId(5), 0).is_empty());
         let mut g2 = g.clone();
         let lonely = g2.add_node("x");
-        assert!(yen_k_shortest(&g2, NodeId(0), lonely, 3, |e| *g2.edge(e))
-            .unwrap()
-            .is_empty());
+        assert!(yen(&g2, NodeId(0), lonely, 3).is_empty());
     }
 
     #[test]
@@ -293,19 +282,21 @@ mod tests {
         let a = g.add_node(());
         let b = g.add_node(());
         g.add_edge(a, b, 1.0);
-        let ps = yen_k_shortest(&g, a, b, 10, |e| *g.edge(e)).unwrap();
+        let ps = yen(&g, a, b, 10);
         assert_eq!(ps.len(), 1);
     }
 
     #[test]
     fn k_one_matches_dijkstra() {
         let g = g();
-        let yen = yen_k_shortest(&g, NodeId(0), NodeId(2), 1, |e| *g.edge(e)).unwrap();
-        let dj = crate::dijkstra(&g, NodeId(0), NodeId(2), |e| *g.edge(e))
-            .unwrap()
-            .unwrap();
-        assert_eq!(yen.len(), 1);
-        assert!((yen[0].cost - dj.cost).abs() < 1e-12);
+        let ps = yen(&g, NodeId(0), NodeId(2), 1);
+        let csr = g.to_csr();
+        let dj = csr_dijkstra(&csr, &mut SearchState::new(), NodeId(0), NodeId(2), |e| {
+            *g.edge(e)
+        })
+        .unwrap();
+        assert_eq!(ps.len(), 1);
+        assert_eq!(Some(&ps[0]), dj.as_ref());
     }
 
     #[test]
@@ -314,7 +305,7 @@ mod tests {
         let csr = g.to_csr();
         let lm = Landmarks::build(&csr, 4, |e| *g.edge(e)).unwrap();
         let mut ws = YenWorkspace::new();
-        let fresh = yen_k_shortest(&g, NodeId(0), NodeId(5), 4, |e| *g.edge(e)).unwrap();
+        let fresh = yen(&g, NodeId(0), NodeId(5), 4);
         for _ in 0..3 {
             let plain =
                 yen_k_shortest_csr(&csr, &mut ws, NodeId(0), NodeId(5), 4, |e| *g.edge(e), None)

@@ -1,15 +1,17 @@
-//! Property-based tests pinning the CSR search stack to the `MultiGraph`
-//! engines: same paths, same order, same cost bits — only the cost of
-//! computing them may differ (DESIGN.md §10).
+//! Property-based tests pinning the CSR search stack to the textbook
+//! `MultiGraph` Dijkstra in `common/`: same paths, same order, same cost
+//! bits — only the cost of computing them may differ (DESIGN.md §10).
 //!
 //! The generator includes zero-weight edges, parallel edges, self-loops
 //! and disconnected components — exactly the shapes where a divergent
 //! tie-break or reset bug would surface.
 
+mod common;
+
+use common::{dijkstra, dijkstra_filtered, shortest_path_tree};
 use intertubes_graph::{
     bidirectional_dijkstra, csr_dijkstra, csr_dijkstra_filtered, csr_shortest_path_tree,
-    dijkstra, dijkstra_filtered, shortest_path_tree, yen_k_shortest, yen_k_shortest_csr,
-    Landmarks, MultiGraph, NodeId, SearchState, YenWorkspace,
+    yen_k_shortest_csr, Landmarks, MultiGraph, NodeId, SearchState, YenWorkspace,
 };
 use proptest::prelude::*;
 
@@ -96,8 +98,8 @@ proptest! {
         }
     }
 
-    /// CSR Yen (fresh or reused workspace, pruned or not) returns exactly
-    /// the `MultiGraph` Yen ranking.
+    /// CSR Yen over a reused workspace, pruned or not, returns exactly the
+    /// ranking of a fresh workspace without pruning.
     #[test]
     fn csr_yen_is_byte_identical((g, n) in arb_graph(), s in 0usize..8, t in 0usize..8, k in 1usize..6) {
         let s = NodeId((s % n) as u32);
@@ -106,7 +108,8 @@ proptest! {
         let csr = g.to_csr();
         let lm = Landmarks::build(&csr, 4, |e| *g.edge(e)).unwrap();
         let mut ws = YenWorkspace::new();
-        let old = yen_k_shortest(&g, s, t, k, |e| *g.edge(e)).unwrap();
+        let old = yen_k_shortest_csr(&csr, &mut YenWorkspace::new(), s, t, k, |e| *g.edge(e), None)
+            .unwrap();
         for alt in [None, Some(&lm)] {
             let new = yen_k_shortest_csr(&csr, &mut ws, s, t, k, |e| *g.edge(e), alt).unwrap();
             prop_assert_eq!(&old, &new, "alt={}", alt.is_some());

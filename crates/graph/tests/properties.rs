@@ -1,9 +1,12 @@
 //! Property-based tests: algorithms vs brute-force references on random
 //! multigraphs.
 
+mod common;
+
+use common::dijkstra;
 use intertubes_graph::{
-    bridges, connected_components, dijkstra, stoer_wagner_min_cut, yen_k_shortest, MultiGraph,
-    NodeId,
+    bridges, connected_components, csr_dijkstra, csr_shortest_path_tree, stoer_wagner_min_cut,
+    yen_k_shortest_csr, MultiGraph, NodeId, SearchState, YenWorkspace,
 };
 use proptest::prelude::*;
 
@@ -47,7 +50,8 @@ proptest! {
         let s = NodeId((s % n) as u32);
         let t = NodeId((t % n) as u32);
         let reference = bellman_ford(&g, s);
-        let found = dijkstra(&g, s, t, |e| *g.edge(e)).unwrap();
+        let found = csr_dijkstra(&g.to_csr(), &mut SearchState::new(), s, t, |e| *g.edge(e))
+            .unwrap();
         match found {
             Some(p) => {
                 prop_assert!((p.cost - reference[t.index()]).abs() < 1e-9,
@@ -66,7 +70,8 @@ proptest! {
         let s = NodeId((s % n) as u32);
         let t = NodeId((t % n) as u32);
         prop_assume!(s != t);
-        let ps = yen_k_shortest(&g, s, t, k, |e| *g.edge(e)).unwrap();
+        let mut ws = YenWorkspace::new();
+        let ps = yen_k_shortest_csr(&g.to_csr(), &mut ws, s, t, k, |e| *g.edge(e), None).unwrap();
         prop_assert!(ps.len() <= k);
         for w in ps.windows(2) {
             prop_assert!(w[0].cost <= w[1].cost + 1e-9);
@@ -198,7 +203,8 @@ proptest! {
     #[test]
     fn shortest_path_tree_satisfies_relaxation((g, _n) in arb_graph(), s in 0usize..8) {
         let s = NodeId((s % g.node_count()) as u32);
-        let tree = intertubes_graph::shortest_path_tree(&g, s, |e| *g.edge(e)).unwrap();
+        let mut tree = SearchState::new();
+        csr_shortest_path_tree(&g.to_csr(), &mut tree, s, |e| *g.edge(e)).unwrap();
         // No edge can relax any distance further (Bellman optimality).
         for e in g.edge_ids() {
             let (u, v) = g.endpoints(e);

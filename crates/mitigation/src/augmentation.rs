@@ -13,7 +13,7 @@
 //! (Level 3, CenturyLink) barely move.
 
 use intertubes_atlas::{City, TransportNetwork};
-use intertubes_graph::{dijkstra, EdgeId, NodeId};
+use intertubes_graph::{csr_dijkstra, CsrGraph, EdgeId, NodeId, SearchState};
 use intertubes_map::{FiberMap, MapConduitId};
 use intertubes_risk::RiskMatrix;
 use serde::{Deserialize, Serialize};
@@ -83,11 +83,16 @@ fn avg_risk(rm: &RiskMatrix, shared: &[f64]) -> Vec<f64> {
 }
 
 /// Cheapest ROW mileage between two map nodes, over the road network (the
-/// deployment-cost term DC of eq. 2). Falls back to geodesic distance when
-/// the endpoints are not road-connected.
+/// deployment-cost term DC of eq. 2), searched on `csr` = `roads.graph`
+/// frozen once per [`augment`] call. Falls back to geodesic distance when
+/// the endpoints are not road-connected. Corridor lengths are finite and
+/// non-negative (fault injection only deletes corridors), so no search
+/// error can hide behind the early exit.
 fn row_distance_km(
     cities: &[City],
     roads: &TransportNetwork,
+    csr: &CsrGraph,
+    st: &mut SearchState,
     a_label: &str,
     b_label: &str,
     fallback_km: f64,
@@ -97,7 +102,7 @@ fn row_distance_km(
         return fallback_km;
     };
     let cost = |e: EdgeId| roads.graph.edge(e).length_km;
-    match dijkstra(&roads.graph, NodeId(ai as u32), NodeId(bi as u32), cost) {
+    match csr_dijkstra(csr, st, NodeId(ai as u32), NodeId(bi as u32), cost) {
         Ok(Some(p)) => p.cost,
         _ => fallback_km,
     }
@@ -121,6 +126,8 @@ pub fn augment(
     let mut pool: Vec<usize> = (0..rm.conduit_count()).collect();
     pool.sort_by(|&x, &y| rm.shared[y].cmp(&rm.shared[x]).then(x.cmp(&y)));
     pool.truncate(cfg.candidate_pool);
+    let road_csr = roads.graph.to_csr();
+    let mut st = SearchState::new();
 
     struct Candidate {
         conduit: usize,
@@ -133,7 +140,8 @@ pub fn augment(
             let a = &map.nodes[c.a.index()];
             let b = &map.nodes[c.b.index()];
             let fallback = a.location.distance_km(&b.location);
-            let row_km = row_distance_km(cities, roads, &a.label, &b.label, fallback);
+            let row_km =
+                row_distance_km(cities, roads, &road_csr, &mut st, &a.label, &b.label, fallback);
             Candidate {
                 conduit: ci,
                 row_km,

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use intertubes_atlas::{CityId, IspTier, World};
-use intertubes_graph::{dijkstra, EdgeId, NodeId, Path};
+use intertubes_graph::{csr_dijkstra, CsrGraph, EdgeId, NodeId, Path, SearchState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -91,6 +91,12 @@ pub struct Campaign {
 /// Per-provider routing state over the ground-truth conduit graph.
 struct CarrierTable<'w> {
     world: &'w World,
+    /// The conduit graph, frozen once for every route search.
+    csr: CsrGraph,
+    /// Search scratch reused across route searches.
+    st: SearchState,
+    /// Conduit length per edge, km.
+    km: Vec<f64>,
     /// For each provider: banned-edge mask (edges outside the footprint).
     banned: Vec<Vec<bool>>,
     /// For each provider: whether it touches each city.
@@ -139,8 +145,12 @@ impl<'w> CarrierTable<'w> {
                 IspTier::Cable => 0.4 * links,
             });
         }
+        let g = &world.system.graph;
         CarrierTable {
             world,
+            csr: g.to_csr(),
+            st: SearchState::new(),
+            km: g.edge_ids().map(|e| world.system.conduit(*g.edge(e)).length_km).collect(),
             banned,
             presence,
             access_weight,
@@ -155,18 +165,19 @@ impl<'w> CarrierTable<'w> {
         if let Some(hit) = self.cache.get(&key) {
             return hit.clone();
         }
-        let world = self.world;
-        let banned = &self.banned[isp];
-        let g = &world.system.graph;
+        let (banned, km) = (&self.banned[isp], &self.km);
         let cost = |e: EdgeId| {
             if banned[e.index()] {
                 f64::INFINITY
             } else {
-                world.system.conduit(*g.edge(e)).length_km
+                km[e.index()]
             }
         };
-        let path = dijkstra(g, NodeId(src.0), NodeId(dst.0), cost)
-            .expect("length cost is non-negative")
+        // Conduit lengths are finite and non-negative, so the search
+        // cannot fail; a failure would just mean "unreachable".
+        let path = csr_dijkstra(&self.csr, &mut self.st, NodeId(src.0), NodeId(dst.0), cost)
+            .ok()
+            .flatten()
             .map(Rc::new);
         self.cache.insert(key, path.clone());
         path

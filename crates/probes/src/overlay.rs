@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use intertubes_atlas::World;
 use intertubes_degrade::{DegradationAction, DegradationPolicy, DegradationReport};
 use intertubes_geo::GeoPoint;
-use intertubes_graph::{dijkstra, EdgeId, NodeId};
+use intertubes_graph::{csr_shortest_path_tree, CsrGraph, EdgeId, NodeId, SearchState};
 use intertubes_map::{FiberMap, MapConduitId, MapNodeId};
 use serde::{Deserialize, Serialize};
 
@@ -234,7 +234,7 @@ pub fn overlay_campaign_with_chunk_size(
 ) -> Result<(Overlay, DegradationReport), ProbeError> {
     let mut span = intertubes_obs::stage("overlay");
     span.items("traces", campaign.traces.len());
-    let graph = map.graph();
+    let gaps = GapFill::new(map);
     // Label → map node.
     let node_of: HashMap<&str, MapNodeId> = map
         .nodes
@@ -250,12 +250,13 @@ pub fn overlay_campaign_with_chunk_size(
         .collect();
 
     // Shard fan-out: contiguous trace chunks, each with its own
-    // accumulators and gap cache (the cache only memoizes deterministic
-    // dijkstra results, so per-shard caches cannot change any output).
+    // accumulators, gap cache and search scratch (the cache only memoizes
+    // deterministic path searches, so per-shard caches cannot change any
+    // output).
     let shards: Vec<Result<(Overlay, usize), ProbeError>> = intertubes_parallel::par_chunks_map(
         &campaign.traces,
         chunk_size.max(1),
-        |offset, traces| overlay_shard(world, map, &graph, &city_to_node, traces, offset, policy),
+        |offset, traces| overlay_shard(world, map, &gaps, &city_to_node, traces, offset, policy),
     );
 
     // Merge barrier. Shards cover ascending trace ranges, so the first
@@ -290,19 +291,47 @@ pub fn overlay_campaign_with_chunk_size(
     Ok((overlay, report))
 }
 
+/// The map graph frozen once for the gap-fill searches of every shard.
+struct GapFill {
+    csr: CsrGraph,
+    /// Conduit length per edge, km (`map.graph()` adds conduit `i` as
+    /// edge `i`).
+    km: Vec<f64>,
+}
+
+impl GapFill {
+    fn new(map: &FiberMap) -> GapFill {
+        GapFill {
+            csr: map.graph().to_csr(),
+            km: map.conduits.iter().map(|c| c.geometry.length_km()).collect(),
+        }
+    }
+
+    /// Conduits along the cheapest map path `u → v`, or `None` if there
+    /// is none. The search builds `u`'s full tree, so a NaN or negative
+    /// length (dirty map geometry) anywhere in `u`'s component is an
+    /// error: the region is unusable for gap-filling, same as no path.
+    fn path(&self, st: &mut SearchState, u: MapNodeId, v: MapNodeId) -> Option<Vec<MapConduitId>> {
+        let km = |e: EdgeId| self.km[e.index()];
+        csr_shortest_path_tree(&self.csr, st, NodeId(u.0), km).ok()?;
+        let path = st.path_to(NodeId(v.0))?;
+        Some(path.edges.iter().map(|e| MapConduitId(e.0)).collect())
+    }
+}
+
 /// Overlays one contiguous shard of traces; `offset` is the shard's first
 /// global trace index (used for strict-mode error reporting).
 fn overlay_shard(
     world: &World,
     map: &FiberMap,
-    graph: &intertubes_graph::MultiGraph<MapNodeId, MapConduitId>,
+    gaps: &GapFill,
     city_to_node: &[Option<MapNodeId>],
     traces: &[crate::campaign::Traceroute],
     offset: usize,
     policy: DegradationPolicy,
 ) -> Result<(Overlay, usize), ProbeError> {
     let n = map.conduits.len();
-    let km = |e: EdgeId| map.conduits[graph.edge(e).index()].geometry.length_km();
+    let mut st = SearchState::new();
     let mut gap_cache: HashMap<(u32, u32), Option<Vec<MapConduitId>>> = HashMap::new();
 
     let mut conduit_freq = vec![0u64; n];
@@ -375,13 +404,9 @@ fn overlay_shard(
                 vec![chosen]
             } else {
                 let key = (u.0.min(v.0), u.0.max(v.0));
-                // A dijkstra error (non-finite edge cost) means the map
-                // region is unusable for gap-filling: same as no path.
-                let path = gap_cache.entry(key).or_insert_with(|| {
-                    dijkstra(graph, NodeId(u.0), NodeId(v.0), km)
-                        .unwrap_or(None)
-                        .map(|p| p.edges.iter().map(|e| *graph.edge(*e)).collect())
-                });
+                let path = gap_cache
+                    .entry(key)
+                    .or_insert_with(|| gaps.path(&mut st, u, v));
                 match path {
                     Some(p) => p.clone(),
                     None => continue,
@@ -452,6 +477,36 @@ mod tests {
         );
         let overlay = overlay_campaign(&w, &built.map, &campaign);
         (w, built.map, overlay)
+    }
+
+    #[test]
+    fn gap_fill_treats_an_invalid_length_in_the_component_as_no_path() {
+        use intertubes_geo::Polyline;
+        use intertubes_map::{MapConduit, Provenance};
+        let p = GeoPoint::new_unchecked;
+        let conduit = |a, b, geometry| MapConduit {
+            a,
+            b,
+            geometry,
+            tenants: Vec::new(),
+            provenance: Provenance::Step1,
+            validated: false,
+            row: None,
+        };
+        let mut map = FiberMap::default();
+        let a = map.ensure_node("A, AA", p(30.0, -100.0));
+        let b = map.ensure_node("B, BB", p(30.0, -99.0));
+        let c = map.ensure_node("C, CC", p(30.0, -98.0));
+        let d = map.ensure_node("D, DD", p(30.0, -97.0));
+        map.conduits.push(conduit(a, b, Polyline::straight(p(30.0, -100.0), p(30.0, -99.0))));
+        map.conduits.push(conduit(b, c, Polyline::straight(p(30.0, -99.0), p(30.0, -98.0))));
+        let mut st = SearchState::new();
+        let clean = GapFill::new(&map).path(&mut st, a, c);
+        assert_eq!(clean, Some(vec![MapConduitId(0), MapConduitId(1)]));
+        // A NaN-length conduit beyond the target: a search stopping when
+        // `c` settles would never relax it, but the region is unusable.
+        map.conduits.push(conduit(c, d, Polyline::straight(p(f64::NAN, -98.0), p(30.0, -97.0))));
+        assert_eq!(GapFill::new(&map).path(&mut st, a, c), None);
     }
 
     #[test]

@@ -22,11 +22,13 @@ impl Cdf {
         let mut values = Vec::new();
         let mut cumulative = Vec::new();
         for (i, v) in samples.iter().enumerate() {
-            if values.last() == Some(v) {
-                *cumulative.last_mut().expect("non-empty") = (i + 1) as f64 / n;
-            } else {
-                values.push(*v);
-                cumulative.push((i + 1) as f64 / n);
+            // `values` and `cumulative` grow in lockstep.
+            match cumulative.last_mut() {
+                Some(last) if values.last() == Some(v) => *last = (i + 1) as f64 / n,
+                _ => {
+                    values.push(*v);
+                    cumulative.push((i + 1) as f64 / n);
+                }
             }
         }
         Cdf { values, cumulative }

@@ -15,7 +15,7 @@
 #
 # Two further checks ride along:
 #   * the `latency_paths` row must carry the per-query path-engine fields
-#     (`path_query_us`: legacy vs CSR vs bidirectional vs ALT timings);
+#     (`path_query_us`: CSR vs bidirectional vs ALT timings);
 #   * `latency_paths` serial wall-clock must not regress more than
 #     MAX_REGRESSION_PCT over the committed BENCH_parallel.json baseline.
 set -eu
@@ -44,9 +44,8 @@ cargo build --release -q -p intertubes-bench --bin bench_parallel
 echo "bench_gate: wrote BENCH_parallel.json"
 
 # The per-query path-engine breakdown must be present and complete.
-for field in path_query_us multigraph_dijkstra csr_dijkstra_cold \
-             csr_dijkstra_warm bidirectional_cold bidirectional_warm \
-             csr_alt_cold csr_alt_warm; do
+for field in path_query_us csr_dijkstra_cold csr_dijkstra_warm \
+             bidirectional_cold bidirectional_warm csr_alt_cold csr_alt_warm; do
     if ! grep -q "\"$field\"" BENCH_parallel.json; then
         echo "bench_gate: FAIL — BENCH_parallel.json is missing \"$field\"." >&2
         exit 1

@@ -9,7 +9,7 @@
 # can only go down: lower BUDGET when you remove one, never raise it.
 set -eu
 
-BUDGET=5
+BUDGET=2
 
 cd "$(dirname "$0")/.."
 
@@ -26,7 +26,10 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
     fi
 done
 
-count=$(cargo clippy --workspace --all-targets 2>&1 |
+# Only non-test targets count: the budget covers library and binary code,
+# where a panic reaches users. Tests, benches and examples are free to
+# unwrap.
+count=$(cargo clippy --workspace 2>&1 |
     grep -c 'used `unwrap()`\|used `expect()`' || true)
 
 echo "lint_gate: $count panicking call sites (budget $BUDGET)"
