@@ -36,7 +36,7 @@ pub use isps::{
     geocoded_isps, isp_roster, pop_only_isps, unpublished_isps, IspId, IspProfile, IspTier,
     MapKind, MAPPED_ISPS,
 };
-pub use tenancy::{assign_footprints, grow_footprint, tenant_counts, Footprint};
+pub use tenancy::{assign_footprints, tenant_counts, Footprint};
 pub use transport::{
     build_pipeline_network, build_rail_network, build_road_network, gabriel_pairs, jittered_route,
     knn_pairs, CorridorEdge, TransportNetwork,
