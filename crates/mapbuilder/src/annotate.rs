@@ -7,7 +7,7 @@
 //! traceroute overlay) and propagation delay.
 
 use intertubes_geo::fiber_delay_us;
-use serde_json::{json, Value};
+use serde_json::{json, Map, Value};
 
 use crate::model::{FiberMap, Provenance};
 
@@ -38,36 +38,41 @@ pub fn to_annotated_geojson(map: &FiberMap, ann: &MapAnnotations) -> Value {
         let coords: Vec<[f64; 2]> = c.geometry.points().iter().map(|p| [p.lon, p.lat]).collect();
         let tenants: Vec<&str> = c.tenants.iter().map(|t| t.isp.as_str()).collect();
         let length_km = c.geometry.length_km();
-        let mut props = json!({
-            "kind": "conduit",
-            "id": i,
-            "a": map.nodes[c.a.index()].label,
-            "b": map.nodes[c.b.index()].label,
-            "tenants": tenants,
-            "tenant_count": tenants.len(),
-            "validated": c.validated,
-            "provenance": match c.provenance {
-                Provenance::Step1 => "step1",
-                Provenance::Step3 => "step3",
-            },
-            "length_km": (length_km * 10.0).round() / 10.0,
-            "delay_us": fiber_delay_us(length_km).round(),
-        });
-        let obj = props.as_object_mut().expect("props is an object");
+        let mut props: Map = [
+            ("kind", json!("conduit")),
+            ("id", json!(i)),
+            ("a", json!(map.nodes[c.a.index()].label)),
+            ("b", json!(map.nodes[c.b.index()].label)),
+            ("tenants", json!(tenants)),
+            ("tenant_count", json!(tenants.len())),
+            ("validated", json!(c.validated)),
+            (
+                "provenance",
+                json!(match c.provenance {
+                    Provenance::Step1 => "step1",
+                    Provenance::Step3 => "step3",
+                }),
+            ),
+            ("length_km", json!((length_km * 10.0).round() / 10.0)),
+            ("delay_us", json!(fiber_delay_us(length_km).round())),
+        ]
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value))
+        .collect();
         if let Some(t) = ann.traffic.get(i) {
-            obj.insert("traffic_probes".into(), json!(t));
-            obj.insert(
+            props.insert("traffic_probes".into(), json!(t));
+            props.insert(
                 "traffic_relative".into(),
                 json!((*t as f64 / max_traffic as f64 * 1000.0).round() / 1000.0),
             );
         }
         if let Some(s) = ann.shared.get(i) {
-            obj.insert("shared_risk".into(), json!(s));
+            props.insert("shared_risk".into(), json!(s));
         }
         features.push(json!({
             "type": "Feature",
             "geometry": { "type": "LineString", "coordinates": coords },
-            "properties": props,
+            "properties": Value::Object(props),
         }));
     }
     json!({ "type": "FeatureCollection", "features": features })

@@ -29,4 +29,6 @@ pub use robustness::{
     already_optimal_fraction, heaviest_conduits, robustness_suggestion,
     robustness_suggestion_weighted, IspRobustness, RobustnessReport,
 };
-pub use whatif::{apply_augmentation, apply_cut, what_if, what_if_cut, CutReport, WhatIfReport};
+pub use whatif::{
+    apply_augmentation, apply_cut, what_if, what_if_cut, CutEvaluator, CutReport, WhatIfReport,
+};

@@ -2,6 +2,8 @@
 //! re-run the §4 risk assessment on the upgraded infrastructure — closing
 //! the loop the paper leaves open between §5's proposals and §4's metrics.
 
+use std::collections::HashMap;
+
 use intertubes_map::{FiberMap, MapConduit, MapConduitId, Provenance, Tenancy, TenancySource};
 use intertubes_risk::RiskMatrix;
 use serde::{Deserialize, Serialize};
@@ -105,114 +107,173 @@ pub fn apply_cut(map: &FiberMap, cut: &[MapConduitId]) -> FiberMap {
     out
 }
 
-/// Per-conduit share counts and per-provider conduit lists, computed with
-/// [`RiskMatrix::build`]'s lenient semantics (duplicate roster names
-/// dropped, first occurrence wins) but without opening an obs stage span —
-/// the §4.2 metrics below must be computable from serving worker threads,
-/// where spans are forbidden by the DESIGN.md §8 contract.
-struct SharingProfile {
+/// The frozen §4.2 sharing profile of one map × roster, answering every
+/// conduit cut as a subtraction: a cut only removes conduits, so the
+/// "after" profile is the "before" profile minus the cut rows.
+///
+/// Semantics match [`RiskMatrix::build`]'s lenient roster handling:
+/// duplicate roster names are dropped (first occurrence wins), a provider
+/// listed twice on one conduit counts once, and names absent from the map
+/// are ignored. Every sum is an integer, so converting it to `f64` once
+/// equals the exact `f64` fold of the full rebuild, and [`CutEvaluator::cut`]
+/// is bit-identical to recomputing the profile on the severed map.
+///
+/// Opens no obs stage span, so it is safe to call from serving worker
+/// threads (DESIGN.md §8).
+#[derive(Debug, Clone)]
+pub struct CutEvaluator {
+    /// Deduplicated provider roster, in roster order.
+    roster: Vec<String>,
+    /// `tenants[starts[c]..starts[c + 1]]`: roster indices on conduit `c`.
+    starts: Vec<usize>,
+    tenants: Vec<u32>,
     /// `shared[c]`: roster providers sharing conduit `c`.
     shared: Vec<u16>,
-    /// `conduits_of[i]`: conduit ids provider `i` is a tenant of.
-    conduits_of: Vec<Vec<usize>>,
+    /// Per provider: the sum of `shared` over its conduits.
+    share_sum: Vec<u64>,
+    /// Per provider: how many conduits it is a tenant of.
+    conduit_count: Vec<u64>,
+    /// `levels[s]`: conduits shared by exactly `s` providers.
+    levels: Vec<usize>,
+    /// Conduits shared by ≥ 4 providers.
+    ge4: usize,
 }
 
-impl SharingProfile {
-    fn build(map: &FiberMap, isps: &[String]) -> SharingProfile {
-        let mut roster: Vec<&String> = Vec::with_capacity(isps.len());
+impl CutEvaluator {
+    /// Freezes the sharing profile of `map` over the roster `isps`.
+    pub fn new(map: &FiberMap, isps: &[String]) -> CutEvaluator {
+        let mut roster: Vec<String> = Vec::with_capacity(isps.len());
+        let mut index: HashMap<&str, u32> = HashMap::with_capacity(isps.len());
         for isp in isps {
-            if !roster.contains(&isp) {
-                roster.push(isp);
+            if !index.contains_key(isp.as_str()) {
+                index.insert(isp, roster.len() as u32);
+                roster.push(isp.clone());
             }
         }
-        let mut shared = vec![0u16; map.conduits.len()];
-        let conduits_of: Vec<Vec<usize>> = roster
-            .iter()
-            .map(|isp| {
-                let mut mine = Vec::new();
-                for (c, conduit) in map.conduits.iter().enumerate() {
-                    if conduit.has_tenant(isp) {
-                        shared[c] += 1;
-                        mine.push(c);
+        let n = map.conduits.len();
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut tenants = Vec::new();
+        let mut shared = Vec::with_capacity(n);
+        let mut share_sum = vec![0u64; roster.len()];
+        let mut conduit_count = vec![0u64; roster.len()];
+        let mut levels = vec![0usize; roster.len() + 1];
+        // `last_on[p]`: the last conduit (plus one) provider `p` was
+        // counted on, so a duplicated tenancy counts once.
+        let mut last_on = vec![0usize; roster.len()];
+        starts.push(0);
+        for (c, conduit) in map.conduits.iter().enumerate() {
+            let first = tenants.len();
+            for t in &conduit.tenants {
+                if let Some(&p) = index.get(t.isp.as_str()) {
+                    if last_on[p as usize] != c + 1 {
+                        last_on[p as usize] = c + 1;
+                        tenants.push(p);
                     }
                 }
-                mine
-            })
-            .collect();
-        SharingProfile {
-            shared,
-            conduits_of,
-        }
-    }
-
-    /// Fraction of conduits shared by ≥ 4 providers (§4.2).
-    fn frac_ge4(&self) -> f64 {
-        self.shared.iter().filter(|&&s| s >= 4).count() as f64 / self.shared.len().max(1) as f64
-    }
-
-    /// Mean per-provider average shared risk, as [`mean_avg_risk`].
-    fn mean_avg_risk(&self) -> f64 {
-        let mut total = 0.0;
-        let mut n = 0usize;
-        for cs in &self.conduits_of {
-            if cs.is_empty() {
-                continue;
             }
-            total += cs.iter().map(|&c| self.shared[c] as f64).sum::<f64>() / cs.len() as f64;
-            n += 1;
+            let s = tenants.len() - first;
+            for &p in &tenants[first..] {
+                share_sum[p as usize] += s as u64;
+                conduit_count[p as usize] += 1;
+            }
+            levels[s] += 1;
+            shared.push(s as u16);
+            starts.push(tenants.len());
         }
-        total / n.max(1) as f64
+        let ge4 = levels.iter().skip(4).sum();
+        CutEvaluator {
+            roster,
+            starts,
+            tenants,
+            shared,
+            share_sum,
+            conduit_count,
+            levels,
+            ge4,
+        }
+    }
+
+    /// The before/after comparison for severing `cut`. Duplicate and
+    /// out-of-range ids are ignored.
+    pub fn cut(&self, cut: &[MapConduitId]) -> CutReport {
+        intertubes_obs::counter("mitigation.whatif_cut_calls", 1);
+        let n = self.shared.len();
+        let mut ids: Vec<usize> = cut.iter().map(|id| id.index()).filter(|&c| c < n).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut levels = self.levels.clone();
+        let mut ge4 = self.ge4;
+        let mut share_sum = self.share_sum.clone();
+        let mut conduit_count = self.conduit_count.clone();
+        for &c in &ids {
+            let s = self.shared[c];
+            levels[s as usize] -= 1;
+            if s >= 4 {
+                ge4 -= 1;
+            }
+            for &p in &self.tenants[self.starts[c]..self.starts[c + 1]] {
+                share_sum[p as usize] -= s as u64;
+                conduit_count[p as usize] -= 1;
+            }
+        }
+        let mut links_lost = 0usize;
+        let mut affected_isps = Vec::new();
+        for ((isp, &before), &after) in self
+            .roster
+            .iter()
+            .zip(&self.conduit_count)
+            .zip(&conduit_count)
+        {
+            let lost = (before - after) as usize;
+            if lost > 0 {
+                links_lost += lost;
+                affected_isps.push(isp.clone());
+            }
+        }
+        CutReport {
+            conduits_cut: ids.len(),
+            affected_isps,
+            links_lost,
+            ge4_before: self.ge4 as f64 / n.max(1) as f64,
+            ge4_after: ge4 as f64 / (n - ids.len()).max(1) as f64,
+            max_sharing_before: top_level(&self.levels),
+            max_sharing_after: top_level(&levels),
+            mean_avg_risk_before: mean_of_averages(&self.share_sum, &self.conduit_count),
+            mean_avg_risk_after: mean_of_averages(&share_sum, &conduit_count),
+        }
     }
 }
 
-/// Runs the before/after comparison for a conduit cut.
+/// The highest share level any conduit is at (0 for an empty map).
+fn top_level(levels: &[usize]) -> u16 {
+    levels.iter().rposition(|&k| k > 0).unwrap_or(0) as u16
+}
+
+/// Mean over non-empty providers, in roster order, of each provider's
+/// average share count — [`mean_avg_risk`] from integer sums.
+fn mean_of_averages(share_sum: &[u64], conduit_count: &[u64]) -> f64 {
+    let mut total = 0.0;
+    let mut n = 0usize;
+    for (&sum, &count) in share_sum.iter().zip(conduit_count) {
+        if count == 0 {
+            continue;
+        }
+        total += sum as f64 / count as f64;
+        n += 1;
+    }
+    total / n.max(1) as f64
+}
+
+/// Runs the before/after comparison for a conduit cut: a one-shot
+/// [`CutEvaluator`]. Callers answering many cuts over one map should keep
+/// the evaluator instead.
 ///
 /// Safe to call from worker threads: unlike [`what_if`] it opens no obs
-/// stage span (the serving scheduler invokes it from parallel compute
-/// waves, where spans are forbidden by the DESIGN.md §8 contract) — only
-/// associative counters, which merge identically at any thread count.
+/// stage span (spans are forbidden in parallel compute waves by the
+/// DESIGN.md §8 contract) — only associative counters, which merge
+/// identically at any thread count.
 pub fn what_if_cut(map: &FiberMap, isps: &[String], cut: &[MapConduitId]) -> CutReport {
-    intertubes_obs::counter("mitigation.whatif_cut_calls", 1);
-    let before = SharingProfile::build(map, isps);
-    let severed = apply_cut(map, cut);
-    let after = SharingProfile::build(&severed, isps);
-    let mut in_cut = vec![false; map.conduits.len()];
-    for id in cut {
-        if let Some(s) = in_cut.get_mut(id.index()) {
-            *s = true;
-        }
-    }
-    let mut links_lost = 0usize;
-    let mut seen: Vec<&String> = Vec::with_capacity(isps.len());
-    let affected_isps: Vec<String> = isps
-        .iter()
-        .filter(|isp| {
-            if seen.contains(isp) {
-                return false;
-            }
-            seen.push(isp);
-            let lost = map
-                .conduits
-                .iter()
-                .zip(&in_cut)
-                .filter(|(c, &s)| s && c.has_tenant(isp))
-                .count();
-            links_lost += lost;
-            lost > 0
-        })
-        .cloned()
-        .collect();
-    CutReport {
-        conduits_cut: in_cut.iter().filter(|&&s| s).count(),
-        affected_isps,
-        links_lost,
-        ge4_before: before.frac_ge4(),
-        ge4_after: after.frac_ge4(),
-        max_sharing_before: before.shared.iter().copied().max().unwrap_or(0),
-        max_sharing_after: after.shared.iter().copied().max().unwrap_or(0),
-        mean_avg_risk_before: before.mean_avg_risk(),
-        mean_avg_risk_after: after.mean_avg_risk(),
-    }
+    CutEvaluator::new(map, isps).cut(cut)
 }
 
 fn mean_avg_risk(rm: &RiskMatrix) -> f64 {
@@ -387,20 +448,29 @@ mod tests {
     }
 
     #[test]
-    fn sharing_profile_matches_risk_matrix_semantics() {
-        let m = toy_map_two();
+    fn evaluator_matches_risk_matrix_semantics() {
+        let mut m = toy_map_two();
+        // A duplicated tenancy counts once, like `has_tenant`.
+        let dup = m.conduits[1].tenants[0].clone();
+        m.conduits[1].tenants.push(dup);
         // Duplicate roster entry: both paths must drop it (first wins).
         let isps: Vec<String> = ["W", "X", "W", "Y", "Z", "Q"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         let rm = RiskMatrix::build(&m, &isps);
-        let profile = SharingProfile::build(&m, &isps);
-        assert_eq!(profile.shared, rm.shared);
-        for (i, cs) in profile.conduits_of.iter().enumerate() {
-            assert_eq!(cs, &rm.conduits_of(i), "provider {i}");
+        let eval = CutEvaluator::new(&m, &isps);
+        assert_eq!(eval.shared, rm.shared);
+        for i in 0..rm.isp_count() {
+            let mine: Vec<usize> = (0..m.conduits.len())
+                .filter(|&c| eval.tenants[eval.starts[c]..eval.starts[c + 1]].contains(&(i as u32)))
+                .collect();
+            assert_eq!(mine, rm.conduits_of(i), "provider {i}");
         }
-        assert_eq!(profile.mean_avg_risk(), mean_avg_risk(&rm));
+        assert_eq!(
+            mean_of_averages(&eval.share_sum, &eval.conduit_count),
+            mean_avg_risk(&rm)
+        );
     }
 
     #[test]

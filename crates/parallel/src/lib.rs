@@ -182,16 +182,25 @@ mod tests {
         assert!(thread_count() >= 1);
     }
 
+    /// Runs `f` holding the override lock. No sibling test's
+    /// [`with_threads`] can be mid-override meanwhile: it installs its
+    /// override and `RAYON_NUM_THREADS` only while holding the lock, and
+    /// restores both before releasing it.
+    fn locked<R>(f: impl FnOnce() -> R) -> R {
+        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        f()
+    }
+
     #[test]
     fn with_threads_overrides_and_restores() {
-        let before = thread_count();
+        let before = locked(thread_count);
         let inside = with_threads(3, thread_count);
         if cfg!(feature = "parallel") {
             assert_eq!(inside, 3);
         } else {
             assert_eq!(inside, 1);
         }
-        assert_eq!(thread_count(), before);
+        assert_eq!(locked(thread_count), before);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use intertubes_graph::{csr_dijkstra_filtered, CsrGraph, EdgeId, Landmarks, NodeId, SearchState};
 use intertubes_map::{FiberMap, MapConduitId};
-use intertubes_mitigation::what_if_cut;
+use intertubes_mitigation::CutEvaluator;
 use intertubes_parallel::par_chunks_map;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -49,17 +49,79 @@ pub struct PairRoutes {
     pub routes: Vec<RouteSummary>,
 }
 
-/// Borrowed evaluation inputs: the frozen map, roster, route index, and
-/// CSR search structures. The serve layer builds one from its
-/// `QueryEngine` tables; tests build one directly over a toy map.
+/// Every pair's stored routes plus a conduit → pair posting list over
+/// each pair's best route, built once per frozen snapshot so a cut visits
+/// only the pairs it can affect instead of scanning them all.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RouteIndex {
+    pairs: Vec<PairRoutes>,
+    /// `hits[starts[c]..starts[c + 1]]`: ascending indices of the pairs
+    /// whose best route uses conduit `c`.
+    starts: Vec<usize>,
+    hits: Vec<u32>,
+}
+
+impl RouteIndex {
+    /// Indexes `pairs` over a map of `conduits` conduits. Route conduit
+    /// ids outside the map are never hit, as in a severed-mask lookup.
+    pub fn new(pairs: Vec<PairRoutes>, conduits: usize) -> RouteIndex {
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); conduits];
+        for (i, pair) in pairs.iter().enumerate() {
+            for &c in pair.routes.first().map_or(&[][..], |r| &r.conduits[..]) {
+                if let Some(list) = lists.get_mut(c as usize) {
+                    // Pairs arrive in order, so a route listing a conduit
+                    // twice would repeat the last entry.
+                    if list.last() != Some(&(i as u32)) {
+                        list.push(i as u32);
+                    }
+                }
+            }
+        }
+        let mut starts = Vec::with_capacity(conduits + 1);
+        let mut hits = Vec::new();
+        starts.push(0);
+        for list in lists {
+            hits.extend(list);
+            starts.push(hits.len());
+        }
+        RouteIndex {
+            pairs,
+            starts,
+            hits,
+        }
+    }
+
+    /// The indexed pairs, in their original order.
+    pub fn pairs(&self) -> &[PairRoutes] {
+        &self.pairs
+    }
+
+    /// Fills `out` with the ascending, distinct indices of the pairs whose
+    /// best route uses any of `conduits`.
+    pub fn hit_pairs(&self, conduits: impl IntoIterator<Item = usize>, out: &mut Vec<u32>) {
+        out.clear();
+        for c in conduits {
+            if let (Some(&from), Some(&to)) = (self.starts.get(c), self.starts.get(c + 1)) {
+                out.extend_from_slice(&self.hits[from..to]);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+}
+
+/// Borrowed evaluation inputs: the frozen map, route index, cut
+/// evaluator, and CSR search structures. The serve layer builds one from
+/// its `QueryEngine` tables; tests build one directly over a toy map.
 #[derive(Debug)]
 pub struct EvalContext<'a> {
     /// The frozen fiber map.
     pub map: &'a FiberMap,
-    /// Provider roster (`what_if_cut` semantics).
-    pub isps: &'a [String],
-    /// Stored routes per conduit-joined pair.
-    pub pairs: &'a [PairRoutes],
+    /// Stored routes per conduit-joined pair, with their hit postings.
+    pub pairs: &'a RouteIndex,
+    /// The frozen §4.2 sharing profile of `map` over the provider roster,
+    /// which answers the certain-cut report.
+    pub cuts: &'a CutEvaluator,
     /// Frozen conduit-graph adjacency.
     pub csr: &'a CsrGraph,
     /// Per-conduit km (edge `i` = conduit `i`).
@@ -103,13 +165,19 @@ fn eval_chunk(ctx: &EvalContext<'_>, exposures: &[Exposure], seed: u64, draws: &
     let mut severed = vec![false; n];
     let banned_nodes = vec![false; ctx.csr.node_count()];
     let mut st = SearchState::new();
+    let mut hits = Vec::new();
     for &draw in draws {
         let mut rng = draw_rng(seed, draw);
         let cut = sample_draw(exposures, &mut rng, &mut severed);
         acc.draws += 1;
         acc.severed_total += cut;
         if cut > 0 {
-            let disconnected = eval_pairs(ctx, &severed, &banned_nodes, &mut st, &mut acc);
+            let severed_ids = exposures
+                .iter()
+                .map(|e| e.conduit as usize)
+                .filter(|&c| severed[c]);
+            ctx.pairs.hit_pairs(severed_ids, &mut hits);
+            let disconnected = eval_pairs(ctx, &hits, &severed, &banned_nodes, &mut st, &mut acc);
             acc.disconnected_total += disconnected;
             acc.max_disconnected = acc.max_disconnected.max(disconnected);
             for e in exposures {
@@ -125,31 +193,29 @@ fn eval_chunk(ctx: &EvalContext<'_>, exposures: &[Exposure], seed: u64, draws: &
     acc
 }
 
-/// Scans every pair against the draw's severed mask: unaffected pairs
-/// are skipped, affected pairs first try the stored routes (a scan), and
-/// only pairs whose every stored route is hit fall back to an exact
-/// ALT-pruned search over the frozen CSR adjacency — the same engine and
-/// mask semantics as the serve layer's `CutImpact`. Returns the number
-/// of pairs left with no surviving route.
+/// Scores the pairs whose best route the draw's severed mask hits (`hits`,
+/// ascending pair indices from the [`RouteIndex`] postings): each first
+/// tries the stored routes (a scan), and only pairs whose every stored
+/// route is hit fall back to an exact ALT-pruned search over the frozen
+/// CSR adjacency — the same engine and mask semantics as the serve
+/// layer's `CutImpact`. Returns the number of pairs left with no
+/// surviving route.
 fn eval_pairs(
     ctx: &EvalContext<'_>,
+    hits: &[u32],
     severed: &[bool],
     banned_nodes: &[bool],
     st: &mut SearchState,
     acc: &mut EnsembleAccumulator,
 ) -> u64 {
     let mut disconnected = 0u64;
-    for pair in ctx.pairs {
+    for pair in hits
+        .iter()
+        .filter_map(|&i| ctx.pairs.pairs().get(i as usize))
+    {
         let Some(best) = pair.routes.first() else {
             continue;
         };
-        let hit = best
-            .conduits
-            .iter()
-            .any(|&c| severed.get(c as usize).copied().unwrap_or(false));
-        if !hit {
-            continue;
-        }
         acc.affected_total += 1;
         let surviving_km = pair
             .routes
@@ -216,7 +282,7 @@ pub fn evaluate(ctx: &EvalContext<'_>, plan: &ScenarioPlan) -> Result<Conditiona
     let certain_cut = if certain.is_empty() {
         None
     } else {
-        Some(what_if_cut(ctx.map, ctx.isps, &certain))
+        Some(ctx.cuts.cut(&certain))
     };
 
     let mut ranked: Vec<ConduitCriticality> = exposed
@@ -301,10 +367,12 @@ mod tests {
     fn validation_errors_surface_before_any_work() {
         let map = FiberMap::default();
         let csr = map.graph().to_csr();
+        let pairs = RouteIndex::new(Vec::new(), 0);
+        let cuts = CutEvaluator::new(&map, &[]);
         let ctx = EvalContext {
             map: &map,
-            isps: &[],
-            pairs: &[],
+            pairs: &pairs,
+            cuts: &cuts,
             csr: &csr,
             km: &[],
             shared: &[],

@@ -16,8 +16,9 @@
 //!   modeled failure probabilities.
 //! * [`evaluate`] — seeded ensemble sampling: N correlated failure sets
 //!   drawn from per-draw RNG streams (`seed ⊕ (i+1)·φ`), each evaluated
-//!   as a mask-filtered scan over the stored route→conduit index with an
-//!   exact ALT-pruned CSR search fallback, tallied into an integer-only
+//!   over the [`RouteIndex`] postings (only the pairs whose best route
+//!   the draw severs) with an exact ALT-pruned CSR search fallback, and
+//!   tallied into an integer-only
 //!   [`EnsembleAccumulator`] whose merge is associative and commutative
 //!   — so serial and parallel evaluation produce byte-identical
 //!   [`ConditionalRisk`] reports at any thread count.
@@ -36,7 +37,7 @@ mod report;
 
 pub use dsl::{Footprint, HazardModel, ScenarioError, ScenarioPlan};
 pub use engine::{
-    evaluate, EvalContext, PairRoutes, RouteSummary, CRITICALITY_TOP, DRAW_CHUNK,
+    evaluate, EvalContext, PairRoutes, RouteIndex, RouteSummary, CRITICALITY_TOP, DRAW_CHUNK,
 };
 pub use geometry::{exposures, Exposure, SAMPLE_STEP_KM};
 pub use report::{ConditionalRisk, ConduitCriticality, EnsembleAccumulator, PPM};

@@ -13,9 +13,10 @@ use std::sync::Arc;
 use intertubes_geo::fiber_delay_us;
 use intertubes_graph::{csr_dijkstra_filtered, CsrGraph, EdgeId, Landmarks, NodeId, SearchState};
 use intertubes_map::MapConduitId;
-use intertubes_mitigation::what_if_cut;
+use intertubes_mitigation::CutEvaluator;
 use intertubes_scenario::{
-    evaluate, ConditionalRisk, EvalContext, PairRoutes, RouteSummary, ScenarioError, ScenarioPlan,
+    evaluate, ConditionalRisk, EvalContext, PairRoutes, RouteIndex, RouteSummary, ScenarioError,
+    ScenarioPlan,
 };
 
 use crate::index::{build_landmarks, conduit_km};
@@ -45,9 +46,11 @@ pub struct QueryEngine {
     /// tables, so answers don't depend on the container version.
     landmarks: Option<Landmarks>,
     /// The path index's routes re-expressed as the scenario engine's
-    /// route→conduit table (one conversion at load, shared by every
-    /// `Ensemble` evaluation).
-    scenario_pairs: Vec<PairRoutes>,
+    /// route→conduit table, with the conduit → hit-pair postings (one
+    /// conversion at load, shared by every `CutImpact` and `Ensemble`).
+    routes: RouteIndex,
+    /// The frozen §4.2 sharing profile every cut is answered from.
+    cuts: CutEvaluator,
     /// Telemetry sink for [`Query::Stats`] answers (DESIGN.md §13). The
     /// engine only *reads* it — all writes happen in the scheduler's
     /// serial phases — so `answer` stays pure from the workers' view.
@@ -78,7 +81,7 @@ impl QueryEngine {
         let csr = snap.map.graph().to_csr();
         let km = conduit_km(&snap.map);
         let landmarks = snap.landmarks.clone().or_else(|| build_landmarks(&snap.map));
-        let scenario_pairs = snap
+        let pairs = snap
             .paths
             .pairs
             .iter()
@@ -95,6 +98,8 @@ impl QueryEngine {
                     .collect(),
             })
             .collect();
+        let routes = RouteIndex::new(pairs, snap.map.conduits.len());
+        let cuts = CutEvaluator::new(&snap.map, &snap.isps);
         QueryEngine {
             snap,
             node_by_label,
@@ -102,7 +107,8 @@ impl QueryEngine {
             csr,
             km,
             landmarks,
-            scenario_pairs,
+            routes,
+            cuts,
             telemetry: None,
             snapshot_id: "default".to_string(),
         }
@@ -169,8 +175,8 @@ impl QueryEngine {
     pub fn conditional_risk(&self, plan: &ScenarioPlan) -> Result<ConditionalRisk, ScenarioError> {
         let ctx = EvalContext {
             map: &self.snap.map,
-            isps: &self.snap.isps,
-            pairs: &self.scenario_pairs,
+            pairs: &self.routes,
+            cuts: &self.cuts,
             csr: &self.csr,
             km: &self.km,
             shared: &self.snap.risk.shared,
@@ -313,29 +319,22 @@ impl QueryEngine {
             };
         }
         let ids: Vec<MapConduitId> = conduits.iter().map(|&c| MapConduitId(c)).collect();
-        let report = what_if_cut(&self.snap.map, &self.snap.isps, &ids);
+        let report = self.cuts.cut(&ids);
         // Conduit ids are edge ids of the conduit graph, so the severed
         // set doubles as the live search's edge ban mask.
         let mut severed = vec![false; n];
         for &c in conduits {
             severed[c as usize] = true;
         }
+        let mut hits = Vec::new();
+        self.routes
+            .hit_pairs(conduits.iter().map(|&c| c as usize), &mut hits);
         let banned_nodes = vec![false; self.csr.node_count()];
         let mut st = SearchState::new();
-        let pair_deltas = self
-            .snap
-            .paths
-            .pairs
+        let pair_deltas = hits
             .iter()
-            .filter_map(|pair| {
-                let best = pair.paths.first()?;
-                let hit = best
-                    .conduits
-                    .iter()
-                    .any(|&c| severed.get(c as usize).copied().unwrap_or(false));
-                if !hit {
-                    return None;
-                }
+            .filter_map(|&i| {
+                let pair = self.snap.paths.pairs.get(i as usize)?;
                 let before_us = pair.best_us()?;
                 // Exact post-cut best route via a live ALT-pruned search
                 // over the frozen adjacency (the stored k routes were only

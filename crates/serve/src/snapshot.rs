@@ -263,17 +263,87 @@ impl Deserialize for StudySnapshot {
         let obj = value.as_object().ok_or_else(|| {
             serde::Error::custom(format!("expected object for StudySnapshot, got {value:?}"))
         })?;
+        let mut sections = Sections::default();
+        for (key, value) in obj.iter() {
+            sections.take(key, value);
+        }
+        sections.finish()
+    }
+}
+
+/// The payload's sections, each converted as soon as its member is parsed
+/// so its JSON tree can be dropped before the next one is built. The
+/// outcome matches a derived `Deserialize`: a repeated key keeps its last
+/// value, unknown keys are ignored, and the first failing field in
+/// declaration order names the error.
+#[derive(Default)]
+struct Sections {
+    config: Option<Result<serde_json::Value, serde::Error>>,
+    map: Option<Result<FiberMap, serde::Error>>,
+    isps: Option<Result<Vec<String>, serde::Error>>,
+    risk: Option<Result<RiskMatrix, serde::Error>>,
+    hamming: Option<Result<HammingHeatmap, serde::Error>>,
+    overlay: Option<Result<Overlay, serde::Error>>,
+    paths: Option<Result<PathIndex, serde::Error>>,
+}
+
+impl Sections {
+    fn take(&mut self, key: &str, value: &serde::Value) {
+        match key {
+            "config" => self.config = Some(Deserialize::from_json_value(value)),
+            "map" => self.map = Some(Deserialize::from_json_value(value)),
+            "isps" => self.isps = Some(Deserialize::from_json_value(value)),
+            "risk" => self.risk = Some(Deserialize::from_json_value(value)),
+            "hamming" => self.hamming = Some(Deserialize::from_json_value(value)),
+            "overlay" => self.overlay = Some(Deserialize::from_json_value(value)),
+            "paths" => self.paths = Some(Deserialize::from_json_value(value)),
+            _ => {}
+        }
+    }
+
+    fn finish(self) -> Result<StudySnapshot, serde::Error> {
         Ok(StudySnapshot {
-            config: serde::__get_field(obj, "config", "StudySnapshot")?,
-            map: serde::__get_field(obj, "map", "StudySnapshot")?,
-            isps: serde::__get_field(obj, "isps", "StudySnapshot")?,
-            risk: serde::__get_field(obj, "risk", "StudySnapshot")?,
-            hamming: serde::__get_field(obj, "hamming", "StudySnapshot")?,
-            overlay: serde::__get_field(obj, "overlay", "StudySnapshot")?,
-            paths: serde::__get_field(obj, "paths", "StudySnapshot")?,
+            config: section(self.config, "config")?,
+            map: section(self.map, "map")?,
+            isps: section(self.isps, "isps")?,
+            risk: section(self.risk, "risk")?,
+            hamming: section(self.hamming, "hamming")?,
+            overlay: section(self.overlay, "overlay")?,
+            paths: section(self.paths, "paths")?,
             landmarks: None,
         })
     }
+}
+
+/// One converted section, with `serde::__get_field`'s error context; a
+/// missing section converts from `null` like an absent struct field.
+fn section<T: Deserialize>(
+    slot: Option<Result<T, serde::Error>>,
+    field: &str,
+) -> Result<T, serde::Error> {
+    match slot {
+        Some(converted) => {
+            converted.map_err(|e| serde::Error::custom(format!("StudySnapshot.{field}: {e}")))
+        }
+        None => T::from_json_value(&serde::Value::Null)
+            .map_err(|_| serde::Error::custom(format!("StudySnapshot: missing field `{field}`"))),
+    }
+}
+
+/// Decodes the payload JSON member by member, so at most one section's
+/// JSON tree is alive at a time. Errors are those of
+/// `serde_json::from_str::<StudySnapshot>`.
+fn decode_payload(text: &str) -> Result<StudySnapshot, serde::Error> {
+    if !text
+        .trim_start_matches([' ', '\t', '\n', '\r'])
+        .starts_with('{')
+    {
+        // Not an object: the tree decoder reports it, naming the type.
+        return serde_json::from_str(text);
+    }
+    let mut sections = Sections::default();
+    serde_json::for_each_member(text, |key, value| sections.take(&key, &value))?;
+    sections.finish()
 }
 
 impl StudySnapshot {
@@ -380,8 +450,7 @@ impl StudySnapshot {
         }
         let text = std::str::from_utf8(payload)
             .map_err(|e| SnapshotError::Payload(e.to_string()))?;
-        let mut snap: StudySnapshot =
-            serde_json::from_str(text).map_err(|e| SnapshotError::Payload(e.to_string()))?;
+        let mut snap = decode_payload(text).map_err(|e| SnapshotError::Payload(e.to_string()))?;
         if schema == SNAPSHOT_SCHEMA_V2 {
             snap.landmarks = Some(Self::parse_landmarks(bytes, &header, payload_end)?);
         }

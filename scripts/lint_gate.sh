@@ -9,7 +9,7 @@
 # can only go down: lower BUDGET when you remove one, never raise it.
 set -eu
 
-BUDGET=2
+BUDGET=1
 
 cd "$(dirname "$0")/.."
 

@@ -22,11 +22,11 @@ use intertubes::geo::{GeoPoint, Polyline};
 use intertubes::map::{
     FiberMap, MapConduit, MapConduitId, Provenance, Tenancy, TenancySource,
 };
-use intertubes::mitigation::what_if_cut;
+use intertubes::mitigation::{what_if_cut, CutEvaluator};
 use intertubes::parallel::with_threads;
 use intertubes::scenario::{
-    evaluate, EnsembleAccumulator, EvalContext, Footprint, HazardModel, PairRoutes, RouteSummary,
-    ScenarioPlan,
+    evaluate, EnsembleAccumulator, EvalContext, Footprint, HazardModel, PairRoutes, RouteIndex,
+    RouteSummary, ScenarioPlan,
 };
 use proptest::prelude::*;
 
@@ -136,10 +136,12 @@ fn fixture() -> &'static Fixture {
 fn eval_at(threads: usize, plan: &ScenarioPlan) -> intertubes::scenario::ConditionalRisk {
     let f = fixture();
     let csr = f.map.graph().to_csr();
+    let pairs = RouteIndex::new(f.pairs.clone(), f.map.conduits.len());
+    let cuts = CutEvaluator::new(&f.map, &f.isps);
     let ctx = EvalContext {
         map: &f.map,
-        isps: &f.isps,
-        pairs: &f.pairs,
+        pairs: &pairs,
+        cuts: &cuts,
         csr: &csr,
         km: &f.km,
         shared: &f.shared,

@@ -11,7 +11,8 @@
 //! [`SnapshotError`]: intertubes::serve::SnapshotError
 
 use intertubes::serve::{
-    section_bounds, SnapshotError, StudySnapshot, SNAPSHOT_SCHEMA, SNAPSHOT_SCHEMA_V2,
+    fnv1a64, section_bounds, SnapshotError, StudySnapshot, SNAPSHOT_MAGIC, SNAPSHOT_SCHEMA,
+    SNAPSHOT_SCHEMA_V2,
 };
 use intertubes::{IntertubesError, Study, StudyConfig};
 
@@ -296,6 +297,63 @@ fn truncation_at_every_section_boundary_is_typed_never_a_panic() {
             Ok(_) => panic!("cut at {cut}: a truncated container must not load"),
         }
     }
+}
+
+/// Wraps `payload` in a v1 container with a valid header and checksum.
+fn v1_container(payload: &str) -> Vec<u8> {
+    let header = format!(
+        "{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"payload_len\":{},\"checksum\":\"{:016x}\"}}",
+        payload.len(),
+        fnv1a64(payload.as_bytes())
+    );
+    let mut out = Vec::new();
+    out.extend_from_slice(SNAPSHOT_MAGIC);
+    out.extend_from_slice(&(header.len() as u64).to_le_bytes());
+    out.extend_from_slice(header.as_bytes());
+    out.extend_from_slice(payload.as_bytes());
+    out
+}
+
+#[test]
+fn member_wise_decode_matches_the_whole_tree_decode() {
+    let mut snap = tiny_snapshot();
+    snap.landmarks = None;
+    let payload = serde_json::to_string(&snap).expect("snapshot serializes");
+    let body = payload.strip_prefix('{').expect("payload is an object");
+    let bad_map = payload.replacen("\"map\":", "\"map\":7,\"map_was\":", 1);
+    let variants = [
+        payload.clone(),
+        // A repeated key keeps its last value, even after a bad first one.
+        format!("{{\"isps\":5,{body}"),
+        format!("{},\"isps\":[\"X\"]}}", &payload[..payload.len() - 1]),
+        // Unknown keys are ignored.
+        format!("{{\"extra\":[1,{{\"deep\":[]}}],{body}"),
+        // A missing section, and two malformed ones: the error names the
+        // first in declaration order, not in document order.
+        payload.replacen("\"isps\":", "\"isps_was\":", 1),
+        format!("{{\"risk\":7,{}", &bad_map.replacen("\"risk\":", "\"risk_was\":", 1)[1..]),
+        "{}".to_string(),
+        // Syntax errors win over conversion errors.
+        bad_map.replacen("\"paths\":", "\"paths\"", 1),
+        " [1, 2] ".to_string(),
+        "{} x".to_string(),
+    ];
+    for (i, text) in variants.iter().enumerate() {
+        let tree = serde_json::from_str::<StudySnapshot>(text)
+            .map_err(|e| SnapshotError::Payload(e.to_string()))
+            .and_then(|s| s.to_bytes());
+        let member_wise = StudySnapshot::from_bytes(&v1_container(text)).and_then(|s| s.to_bytes());
+        assert_eq!(member_wise, tree, "variant {i}");
+    }
+    // Both paths share the section logic, so pin what a derived
+    // `Deserialize` would report.
+    let decode = |i: usize| StudySnapshot::from_bytes(&v1_container(&variants[i]));
+    assert_eq!(decode(2).expect("a repeated key decodes").isps, ["X"]);
+    let err = |i: usize| decode(i).map(|_| ()).expect_err("variant fails").to_string();
+    assert!(err(4).ends_with("StudySnapshot: missing field `isps`"), "{}", err(4));
+    assert!(err(5).contains(": StudySnapshot.map: "), "{}", err(5));
+    assert!(err(7).contains("JSON parse error at byte"), "{}", err(7));
+    assert!(err(8).contains("expected object for StudySnapshot"), "{}", err(8));
 }
 
 #[test]
