@@ -1,4 +1,4 @@
-//! Serial-vs-parallel Criterion benches for the four rayon-backed hot
+//! Serial-vs-parallel Criterion benches for the four parallel hot
 //! paths (DESIGN.md §7). Each stage is timed twice: pinned to one thread
 //! (the serial baseline — the fan-outs short-circuit to inline loops) and
 //! at the session's default thread count. `scripts/bench_gate.sh` runs the

@@ -1,4 +1,4 @@
-//! Serial-vs-parallel wall-clock measurement for the four rayon-backed hot
+//! Serial-vs-parallel wall-clock measurement for the four parallel hot
 //! paths (DESIGN.md §7), recorded to `BENCH_parallel.json` by
 //! `scripts/bench_gate.sh`.
 //!

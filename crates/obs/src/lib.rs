@@ -4,9 +4,9 @@
 //! §8). Three coupled facilities:
 //!
 //! * **Stage spans** — every pipeline stage opens a [`stage`] guard that
-//!   records wall time, item counts, and an outcome, dispatched through the
-//!   vendored `tracing` stub to the session recorder. Spans nest; the
-//!   per-thread span stack gives events their span context.
+//!   records wall time, item counts, and an outcome into the session
+//!   recorder. Spans nest; the per-thread span stack gives events their
+//!   span context.
 //! * **A metrics registry** — [`counter`], [`gauge`], [`histogram`] write
 //!   into per-thread [`MetricsSnapshot`] shards that merge associatively
 //!   and commutatively at session end, extending the serial==parallel
@@ -61,11 +61,85 @@ pub use manifest::{
 };
 pub use metrics::{Gauge, Histogram, MetricsSnapshot, HISTOGRAM_BUCKETS};
 pub use ring::Ring;
-pub use tracing::{FieldValue, Level};
 
 // ---------------------------------------------------------------------------
 // Records
 // ---------------------------------------------------------------------------
+
+/// Event/span severity, ordered from most to least severe:
+/// `Error < Warn < Info < Debug < Trace` (a *lower* level is *more* severe;
+/// filters keep `level <= max`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Level {
+    /// The system cannot proceed as asked.
+    Error,
+    /// Something degraded but the run continues.
+    Warn,
+    /// Normal operational signposts (the default filter).
+    Info,
+    /// Diagnostic detail for debugging.
+    Debug,
+    /// Very fine-grained detail.
+    Trace,
+}
+
+impl Level {
+    /// Stable lower-case label (`"info"`, …) used in logs and JSON.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Level::Error => "error",
+            Level::Warn => "warn",
+            Level::Info => "info",
+            Level::Debug => "debug",
+            Level::Trace => "trace",
+        }
+    }
+
+    /// Parses a level name, case-insensitively. `None` for unknown names.
+    pub fn parse(s: &str) -> Option<Level> {
+        match s.to_ascii_lowercase().as_str() {
+            "error" => Some(Level::Error),
+            "warn" | "warning" => Some(Level::Warn),
+            "info" => Some(Level::Info),
+            "debug" => Some(Level::Debug),
+            "trace" => Some(Level::Trace),
+            _ => None,
+        }
+    }
+}
+
+impl std::fmt::Display for Level {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// One typed structured-field value attached to an event or span exit.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FieldValue {
+    /// A string field.
+    Str(String),
+    /// An unsigned integer field (counts, sizes).
+    U64(u64),
+    /// A signed integer field.
+    I64(i64),
+    /// A floating-point field (durations, ratios).
+    F64(f64),
+    /// A boolean field.
+    Bool(bool),
+}
+
+impl std::fmt::Display for FieldValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FieldValue::Str(s) => f.write_str(s),
+            FieldValue::U64(v) => write!(f, "{v}"),
+            FieldValue::I64(v) => write!(f, "{v}"),
+            FieldValue::F64(v) => write!(f, "{v}"),
+            FieldValue::Bool(v) => write!(f, "{v}"),
+        }
+    }
+}
 
 /// What happened inside one structured log entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,8 +309,8 @@ static SESSION_LOCK: Mutex<()> = Mutex::new(());
 /// re-bound when the generation moves on.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
 
-/// The active recorder (metrics side; the tracing side is the stub's
-/// subscriber slot, holding the same `Arc`).
+/// The active recorder: the one slot every span, event and metric goes
+/// through.
 static RECORDER: std::sync::RwLock<Option<Arc<Recorder>>> = std::sync::RwLock::new(None);
 
 thread_local! {
@@ -313,13 +387,8 @@ impl Recorder {
             None => eprintln!("{:>5} {message}", level.as_str()),
         }
     }
-}
 
-impl tracing::Subscriber for Recorder {
-    fn enabled(&self, level: Level) -> bool {
-        level <= self.filter
-    }
-
+    /// A named span was entered on the calling thread.
     fn span_enter(&self, name: &str) {
         let parent = Self::current_span();
         SPAN_STACK.with(|s| s.borrow_mut().push(name.to_string()));
@@ -335,7 +404,15 @@ impl tracing::Subscriber for Recorder {
         });
     }
 
-    fn span_exit(&self, name: &str, fields: &[(&str, FieldValue)]) {
+    /// The matching span exited after `wall_ms` with `outcome` and the
+    /// item counts attached to it.
+    fn span_exit(
+        &self,
+        name: &str,
+        wall_ms: f64,
+        outcome: StageOutcome,
+        items: &[(&'static str, u64)],
+    ) {
         SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
             if stack.last().map(String::as_str) == Some(name) {
@@ -343,23 +420,6 @@ impl tracing::Subscriber for Recorder {
             }
         });
         let parent = Self::current_span();
-        let mut wall_ms = 0.0;
-        let mut outcome = StageOutcome::Ok;
-        let mut items = Vec::new();
-        for (key, value) in fields {
-            match (*key, value) {
-                ("wall_ms", FieldValue::F64(v)) => wall_ms = *v,
-                ("outcome", FieldValue::Str(s)) => {
-                    outcome = match s.as_str() {
-                        "degraded" => StageOutcome::Degraded,
-                        "failed" => StageOutcome::Failed,
-                        _ => StageOutcome::Ok,
-                    }
-                }
-                (key, FieldValue::U64(v)) => items.push((key.to_string(), *v)),
-                _ => {}
-            }
-        }
         self.echo_line(
             Level::Debug,
             parent.as_deref(),
@@ -372,6 +432,11 @@ impl tracing::Subscriber for Recorder {
                     .collect::<String>()
             ),
         );
+        let mut fields = vec![
+            ("wall_ms".to_string(), FieldValue::F64(wall_ms)),
+            ("outcome".to_string(), FieldValue::Str(outcome.label().to_string())),
+        ];
+        fields.extend(items.iter().map(|&(k, v)| (k.to_string(), FieldValue::U64(v))));
         self.push_log(EventRecord {
             seq: 0,
             t_ms: self.elapsed_ms(),
@@ -380,10 +445,7 @@ impl tracing::Subscriber for Recorder {
             target: "obs".to_string(),
             span: parent.clone(),
             message: name.to_string(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
+            fields,
         });
         self.stages
             .lock()
@@ -392,11 +454,12 @@ impl tracing::Subscriber for Recorder {
                 name: name.to_string(),
                 parent,
                 wall_ms,
-                items,
+                items: items.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
                 outcome,
             });
     }
 
+    /// A structured event was emitted on the calling thread.
     fn event(&self, level: Level, target: &str, message: &str, fields: &[(&str, FieldValue)]) {
         if level > self.filter {
             return;
@@ -444,7 +507,6 @@ impl Session {
         let guard = SESSION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let recorder = Arc::new(Recorder::new(cfg));
         *RECORDER.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&recorder));
-        tracing::set_subscriber(recorder.clone());
         Session {
             _guard: guard,
             recorder,
@@ -453,7 +515,6 @@ impl Session {
 
     /// Stops recording and returns the captured [`RunRecord`].
     pub fn finish(self) -> RunRecord {
-        tracing::clear_subscriber();
         *RECORDER.write().unwrap_or_else(|e| e.into_inner()) = None;
         let recorder = self.recorder;
         let events = std::mem::take(&mut *recorder.log.lock().unwrap_or_else(|e| e.into_inner()));
@@ -529,10 +590,10 @@ pub fn histogram(name: &str, value: u64) {
     });
 }
 
-/// Emits a structured event through the tracing dispatch (no-op outside a
-/// session, filtered by the session level).
+/// Emits a structured event (no-op outside a session, filtered by the
+/// session level).
 pub fn event(level: Level, target: &str, message: &str, fields: &[(&str, FieldValue)]) {
-    tracing::dispatch_event(level, target, message, fields);
+    with_recorder(|r| r.event(level, target, message, fields));
 }
 
 /// An in-progress stage span. Records wall time on drop; attach item
@@ -540,7 +601,8 @@ pub fn event(level: Level, target: &str, message: &str, fields: &[(&str, FieldVa
 /// [`StageGuard::degraded`] / [`StageGuard::failed`].
 #[derive(Debug)]
 pub struct StageGuard {
-    span: Option<tracing::Span>,
+    /// The entered span's name; `None` outside a session.
+    span: Option<String>,
     start: Instant,
     items: Vec<(&'static str, u64)>,
     outcome: StageOutcome,
@@ -552,7 +614,10 @@ pub struct StageGuard {
 /// pipeline); parallel fan-outs inside a stage report through [`counter`]
 /// and [`histogram`] instead.
 pub fn stage(name: &str) -> StageGuard {
-    let span = active().then(|| tracing::Span::enter(name));
+    let span = with_recorder(|r| {
+        r.span_enter(name);
+        name.to_string()
+    });
     StageGuard {
         span,
         start: Instant::now(),
@@ -582,24 +647,44 @@ impl StageGuard {
 
 impl Drop for StageGuard {
     fn drop(&mut self) {
-        let Some(span) = self.span.take() else {
+        let Some(name) = self.span.take() else {
             return;
         };
         let wall_ms = self.start.elapsed().as_secs_f64() * 1e3;
-        let mut fields: Vec<(&str, FieldValue)> = vec![
-            ("wall_ms", FieldValue::F64(wall_ms)),
-            ("outcome", FieldValue::Str(self.outcome.label().to_string())),
-        ];
-        for (key, count) in &self.items {
-            fields.push((key, FieldValue::U64(*count)));
-        }
-        span.exit_with(&fields);
+        with_recorder(|r| r.span_exit(&name, wall_ms, self.outcome, &self.items));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn levels_order_and_parse() {
+        assert!(Level::Error < Level::Warn);
+        assert!(Level::Info < Level::Trace);
+        assert_eq!(Level::parse("WARN"), Some(Level::Warn));
+        assert_eq!(Level::parse("nope"), None);
+        assert_eq!(Level::Debug.as_str(), "debug");
+    }
+
+    #[test]
+    fn instrumentation_outside_a_session_records_nothing() {
+        {
+            // Holding the session lock keeps sibling tests' sessions out.
+            let _quiet = SESSION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            let mut span = stage("quiet");
+            span.items("things", 1);
+            event(Level::Error, "test", "goes nowhere", &[]);
+            counter("outside", 1);
+        }
+        let record = Session::begin(ObsConfig {
+            level: Level::Trace,
+            echo: false,
+        })
+        .finish();
+        assert_eq!(record, RunRecord::default());
+    }
 
     #[test]
     fn session_scopes_recording() {

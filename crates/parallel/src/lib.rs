@@ -1,4 +1,4 @@
-//! Rayon-backed parallel execution layer with a determinism contract.
+//! Std-only parallel execution layer with a determinism contract.
 //!
 //! Every hot path in the workspace (map-construction pipeline, traceroute
 //! overlay, risk matrix, path enumeration) fans out through the helpers in
@@ -9,29 +9,23 @@
 //! > count, for every stage.**
 //!
 //! The helpers guarantee this by construction: inputs are split into
-//! contiguous chunks, each chunk is processed in input order, and chunk
-//! results are concatenated (or merged by the caller) in chunk order.
-//! Nothing downstream can observe how many threads ran.
+//! contiguous chunks, each chunk is processed in input order on its own
+//! scoped thread, and chunk results are concatenated (or merged by the
+//! caller) in chunk order. Nothing downstream can observe how many threads
+//! ran. Serial execution is the 1-thread case of the same code: with one
+//! thread (or one item) no thread is spawned and the work runs inline.
 //!
 //! Thread-count resolution, highest priority first:
 //!
 //! 1. a [`with_threads`] override (tests and benches);
 //! 2. the `INTERTUBES_THREADS` environment variable;
-//! 3. rayon's global pool size (`RAYON_NUM_THREADS`, or the machine's
-//!    available parallelism).
-//!
-//! With the `parallel` cargo feature disabled (it is on by default) every
-//! helper degrades to a plain serial loop and the resolution above is
-//! bypassed entirely.
+//! 3. the machine's available parallelism.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
 
 /// Test/bench override installed by [`with_threads`] (0 = none).
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -40,56 +34,65 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// interleave.
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
-/// The number of worker threads parallel stages will fan out to.
-///
-/// Always ≥ 1. Returns 1 when the `parallel` feature is disabled.
+/// The number of worker threads parallel stages will fan out to. Always ≥ 1.
 pub fn thread_count() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
+    let o = OVERRIDE.load(Ordering::SeqCst);
+    if o > 0 {
+        return o;
     }
-    #[cfg(feature = "parallel")]
+    if let Some(n) = std::env::var("INTERTUBES_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
     {
-        let o = OVERRIDE.load(Ordering::SeqCst);
-        if o > 0 {
-            return o;
-        }
-        if let Some(n) = std::env::var("INTERTUBES_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            return n;
-        }
-        rayon::current_num_threads().max(1)
+        return n;
     }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Runs `f` with the thread count pinned to `n` (≥ 1), restoring the
 /// previous state afterwards. Callers are serialized through a global
 /// lock, so concurrent tests cannot observe each other's override.
-///
-/// `RAYON_NUM_THREADS` is pinned for the duration too, so the underlying
-/// pool fans out to `n` OS threads even on machines with fewer cores.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let n = n.max(1);
-    let guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev_env = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-    let prev = OVERRIDE.swap(n, Ordering::SeqCst);
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = OVERRIDE.swap(n.max(1), Ordering::SeqCst);
     let result = f();
     OVERRIDE.store(prev, Ordering::SeqCst);
-    match prev_env {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    drop(guard);
     result
 }
 
 /// The chunk length that splits `len` items into [`thread_count`] chunks.
 pub fn chunk_len(len: usize) -> usize {
     len.div_ceil(thread_count()).max(1)
+}
+
+/// The ordered driver behind every helper: splits `items` into at most
+/// [`thread_count`] contiguous chunks, maps each chunk on its own scoped
+/// thread, and concatenates the results in chunk order. A worker panic is
+/// resumed on the caller.
+fn drive_ordered<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let n = items.len();
+    let threads = thread_count();
+    if threads <= 1 || n <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let chunk = n.div_ceil(threads);
+    let mut rest = items.into_iter();
+    let chunks: Vec<Vec<T>> = (0..n.div_ceil(chunk))
+        .map(|_| rest.by_ref().take(chunk).collect())
+        .collect();
+    let f = &f;
+    let results: Vec<Vec<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|c| scope.spawn(move || c.into_iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    results.into_iter().flatten().collect()
 }
 
 /// Maps `f` over `items`, in parallel, preserving input order exactly.
@@ -99,21 +102,11 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync + Send,
 {
-    // Counted on entry (caller thread), before the serial/parallel branch:
-    // the counter is identical at every thread count by construction.
+    // Counted on entry (caller thread): the counter is identical at every
+    // thread count by construction.
     intertubes_obs::counter("parallel.par_map_calls", 1);
     intertubes_obs::counter("parallel.par_map_items", items.len() as u64);
-    #[cfg(feature = "parallel")]
-    if thread_count() > 1 && items.len() > 1 {
-        return items
-            .par_chunks(chunk_len(items.len()))
-            .map(|chunk| chunk.iter().map(&f).collect::<Vec<R>>())
-            .collect::<Vec<Vec<R>>>()
-            .into_iter()
-            .flatten()
-            .collect();
-    }
-    items.iter().map(f).collect()
+    drive_ordered(items.iter().collect(), f)
 }
 
 /// Maps `f` over owned `items`, in parallel, preserving input order.
@@ -125,14 +118,7 @@ where
 {
     intertubes_obs::counter("parallel.par_map_calls", 1);
     intertubes_obs::counter("parallel.par_map_items", items.len() as u64);
-    #[cfg(feature = "parallel")]
-    if thread_count() > 1 && items.len() > 1 {
-        return items
-            .into_par_iter()
-            .map(f)
-            .collect::<Vec<R>>();
-    }
-    items.into_iter().map(f).collect()
+    drive_ordered(items, f)
 }
 
 /// Splits `items` into contiguous chunks of `chunk_size` and maps `f` over
@@ -154,28 +140,16 @@ where
     // so a chunk total would (correctly but uselessly) vary across runs.
     intertubes_obs::counter("parallel.par_chunks_map_calls", 1);
     intertubes_obs::counter("parallel.par_chunks_map_items", items.len() as u64);
-    #[cfg(feature = "parallel")]
-    if thread_count() > 1 && items.len() > chunk_size {
-        let offsets_chunks: Vec<(usize, &[T])> = items
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(i, c)| (i * chunk_size, c))
-            .collect();
-        return offsets_chunks
-            .into_par_iter()
-            .map(|(off, c)| f(off, c))
-            .collect();
-    }
-    items
-        .chunks(chunk_size)
-        .enumerate()
-        .map(|(i, c)| f(i * chunk_size, c))
-        .collect()
+    drive_ordered(items.chunks(chunk_size).enumerate().collect(), |(i, c)| {
+        f(i * chunk_size, c)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::thread::{self, ThreadId};
 
     #[test]
     fn thread_count_is_positive() {
@@ -184,8 +158,8 @@ mod tests {
 
     /// Runs `f` holding the override lock. No sibling test's
     /// [`with_threads`] can be mid-override meanwhile: it installs its
-    /// override and `RAYON_NUM_THREADS` only while holding the lock, and
-    /// restores both before releasing it.
+    /// override only while holding the lock, and restores it before
+    /// releasing it.
     fn locked<R>(f: impl FnOnce() -> R) -> R {
         let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         f()
@@ -194,13 +168,58 @@ mod tests {
     #[test]
     fn with_threads_overrides_and_restores() {
         let before = locked(thread_count);
-        let inside = with_threads(3, thread_count);
-        if cfg!(feature = "parallel") {
-            assert_eq!(inside, 3);
-        } else {
-            assert_eq!(inside, 1);
-        }
+        assert_eq!(with_threads(3, thread_count), 3);
         assert_eq!(locked(thread_count), before);
+    }
+
+    #[test]
+    fn with_threads_leaves_the_environment_alone() {
+        let snapshot = || std::env::vars().collect::<HashSet<(String, String)>>();
+        let outside = locked(snapshot);
+        let inside = with_threads(4, snapshot);
+        let changed: Vec<_> = inside.symmetric_difference(&outside).collect();
+        assert!(changed.is_empty(), "with_threads changed the environment: {changed:?}");
+    }
+
+    fn distinct(ids: &[ThreadId]) -> HashSet<ThreadId> {
+        ids.iter().copied().collect()
+    }
+
+    #[test]
+    fn par_map_spawns_exactly_the_pinned_thread_count() {
+        let items: Vec<u32> = (0..100).collect();
+        for n in [2, 4] {
+            let ids = with_threads(n, || par_map(&items, |_| thread::current().id()));
+            assert_eq!(distinct(&ids).len(), n, "thread count {n}");
+        }
+    }
+
+    #[test]
+    fn one_thread_runs_inline_on_the_caller() {
+        let items: Vec<u32> = (0..100).collect();
+        let ids = with_threads(1, || par_map(&items, |_| thread::current().id()));
+        assert_eq!(distinct(&ids), HashSet::from([thread::current().id()]));
+    }
+
+    #[test]
+    fn par_chunks_map_never_exceeds_the_pinned_thread_count() {
+        let items: Vec<u32> = (0..1000).collect();
+        for n in [2, 3] {
+            let ids = with_threads(n, || {
+                par_chunks_map(&items, 7, |_, _| thread::current().id())
+            });
+            assert_eq!(ids.len(), 143);
+            assert!(distinct(&ids).len() <= n, "thread count {n}");
+        }
+    }
+
+    #[test]
+    fn worker_panics_reach_the_caller() {
+        let items: Vec<u32> = (0..10).collect();
+        let caught = with_threads(2, || {
+            std::panic::catch_unwind(|| par_map(&items, |&x| assert!(x != 7, "boom")))
+        });
+        assert!(caught.is_err());
     }
 
     #[test]

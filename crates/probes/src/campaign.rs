@@ -273,11 +273,11 @@ pub fn run_campaign(world: &World, cfg: &ProbeConfig) -> Campaign {
                 break;
             }
         }
-        let Some(route) = planned else {
+        let Some(trace) = planned.and_then(|route| observe(route, &mut rng, cfg, world)) else {
             unrouted += 1;
             continue;
         };
-        traces.push(observe(route, &mut rng, cfg, world));
+        traces.push(trace);
     }
     span.items("traces", traces.len());
     span.items("unrouted", unrouted);
@@ -360,10 +360,17 @@ fn plan_route(
 }
 
 /// Converts a planned route into an observed traceroute, applying MPLS
-/// hiding, geolocation failures and DNS-hint sampling.
-fn observe(route: PlannedRoute, rng: &mut StdRng, cfg: &ProbeConfig, world: &World) -> Traceroute {
-    let src = route.cities[0];
-    let dst = *route.cities.last().expect("route has cities");
+/// hiding, geolocation failures and DNS-hint sampling. `None` for a route
+/// with no cities.
+fn observe(
+    route: PlannedRoute,
+    rng: &mut StdRng,
+    cfg: &ProbeConfig,
+    world: &World,
+) -> Option<Traceroute> {
+    let (Some(&src), Some(&dst)) = (route.cities.first(), route.cities.last()) else {
+        return None;
+    };
     let mut hops = Vec::with_capacity(route.cities.len());
     for (i, city) in route.cities.iter().enumerate() {
         if let Some((lo, hi)) = route.tunnel {
@@ -391,7 +398,7 @@ fn observe(route: PlannedRoute, rng: &mut StdRng, cfg: &ProbeConfig, world: &Wor
             isp_hint: hint,
         });
     }
-    Traceroute { src, dst, hops }
+    Some(Traceroute { src, dst, hops })
 }
 
 #[cfg(test)]

@@ -255,8 +255,8 @@ fn eval_pairs(
 }
 
 /// Evaluates the full ensemble: validates the plan, computes the
-/// exposure table, samples and scores every draw (in parallel when the
-/// `parallel` feature is on — byte-identical either way), and assembles
+/// exposure table, samples and scores every draw (in parallel,
+/// byte-identical at any thread count), and assembles
 /// the report. Worker-thread safe: counters only, no obs spans.
 pub fn evaluate(ctx: &EvalContext<'_>, plan: &ScenarioPlan) -> Result<ConditionalRisk, ScenarioError> {
     plan.validate()?;

@@ -401,8 +401,8 @@ mod tests {
     fn collision_eviction_order_is_identical_across_thread_counts() {
         // The cache is only ever touched from the scheduler's serial
         // phases, so a fixed touch sequence must leave identical contents
-        // and counters regardless of the rayon pool size. Replay the same
-        // sequence under 1/2/8-thread pools and compare observable state.
+        // and counters regardless of the worker thread count. Replay the
+        // same sequence at 1/2/8 threads and compare observable state.
         let keys = colliding_keys(4, 6);
         let replay = |threads: usize| {
             intertubes_parallel::with_threads(threads, || {

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Speedup gate for the rayon-parallel hot paths (DESIGN.md §7).
+# Speedup gate for the parallel hot paths (DESIGN.md §7).
 #
 # Runs the `bench_parallel` harness (crates/bench/src/bin/bench_parallel.rs),
 # which times each parallelised stage pinned to one thread and again at the

@@ -4,12 +4,10 @@
 # The workspace lints (Cargo.toml [workspace.lints.clippy]) surface every
 # `unwrap()` / `expect()` in the library crates as a clippy warning. Input-
 # facing code must use the checked `_checked` variants and the degradation
-# taxonomy instead; the sites that remain are construction invariants in
-# trusted world-generation internals. This script pins their count so it
-# can only go down: lower BUDGET when you remove one, never raise it.
+# taxonomy instead. This script pins their count at BUDGET; never raise it.
 set -eu
 
-BUDGET=1
+BUDGET=0
 
 cd "$(dirname "$0")/.."
 

@@ -63,8 +63,8 @@ fn usage() -> ! {
            --threads N            worker threads for the parallel stages;\n\
                                   resolution order: --threads, then the\n\
                                   INTERTUBES_THREADS environment variable,\n\
-                                  then the rayon default (output is identical\n\
-                                  at any thread count)\n\
+                                  then the machine's available parallelism\n\
+                                  (output is identical at any thread count)\n\
            --strict               abort on the first malformed input (exit 3)\n\
            --lenient              absorb malformed input and report it (default)\n\
            --faults <plan.json>   inject the fault plan into every pipeline input\n\

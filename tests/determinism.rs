@@ -291,8 +291,8 @@ fn faulted_manifests_are_thread_count_invariant() {
 #[test]
 fn thread_override_env_var_is_respected() {
     let _guard = battery_lock();
-    // with_threads pins both the override and RAYON_NUM_THREADS; the
-    // resolved count must follow it exactly.
+    // with_threads pins the override; the resolved count must follow it
+    // exactly.
     for n in [1, 3, 8] {
         let seen = with_threads(n, intertubes::parallel::thread_count);
         assert_eq!(seen, n);
