@@ -1,230 +1,266 @@
-//! Criterion benchmarks — one group per reproduced table/figure, timing the
-//! computation that regenerates it (DESIGN.md §3 maps ids to experiments).
+//! Experiment and ablation timings: one row per reproduced table/figure
+//! computation (DESIGN.md §3 maps ids to experiments), then the ablation
+//! sweeps for the design choices DESIGN.md calls out — spatial-grid cell
+//! size (and grid vs brute force) for the corridor overlap analysis, the
+//! geometry-cluster threshold, Yen's k, and the campaign noise parameters.
 //!
-//! The expensive one-time setup (world generation, corpus, pipeline,
-//! campaign) is shared through `intertubes_bench::study()` / `overlay()`;
-//! each bench then measures the experiment's own computation.
+//! Each row prints the median wall-clock of a few runs ([`time_ms`]). The
+//! stages `bench_parallel` records in `BENCH_parallel.json` — the map
+//! pipeline, the overlay, the risk matrix + Hamming heat map and the
+//! latency study — are not repeated here.
+//!
+//! Runs only when cargo passes `--bench` (`cargo bench -p
+//! intertubes-bench`), so test runs that build bench targets skip even the
+//! shared setup.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use intertubes::geo::{
+    haversine_km, CorridorIndex, CorridorLayer, GeoPoint, LocalProjection, OverlapParams, Polyline,
+    SegmentGrid,
+};
 use intertubes::graph::{
-    csr_dijkstra, yen_k_shortest_csr, EdgeId, NodeId, SearchState, YenWorkspace,
+    csr_dijkstra, stoer_wagner_min_cut, yen_k_shortest_csr, EdgeId, NodeId, SearchState,
+    YenWorkspace,
 };
 use intertubes::map::{analyze_colocation, build_map, corridor_index, PipelineConfig};
 use intertubes::mitigation::{
-    augment, heaviest_conduits, latency_study, robustness_suggestion, AugmentationConfig,
-    LatencyConfig,
+    augment, heaviest_conduits, robustness_suggestion, AugmentationConfig,
 };
-use intertubes::probes::{overlay_campaign, run_campaign, ProbeConfig};
+use intertubes::parallel::thread_count;
+use intertubes::probes::{run_campaign, ProbeConfig};
 use intertubes::records::{generate_corpus, CorpusConfig};
-use intertubes::risk::{
-    conduits_shared_by_at_least, hamming_heatmap, isp_sharing_ranking, traffic_risk, RiskMatrix,
-};
-use intertubes_bench::study;
+use intertubes::risk::{conduits_shared_by_at_least, isp_sharing_ranking, traffic_risk};
+use intertubes_bench::{study, time_ms};
 
-/// tab1 + fig1: the four-step map-construction pipeline (§2).
-fn bench_pipeline(c: &mut Criterion) {
-    let s = study();
-    let published = s.world.publish_maps();
-    let corpus = generate_corpus(&s.world, &CorpusConfig::default());
-    c.bench_function("tab1_fig1_build_map_pipeline", |b| {
-        b.iter(|| {
-            black_box(build_map(
-                &published,
-                &corpus,
-                &s.world.cities,
-                &s.world.roads,
-                &s.world.rails,
-                &PipelineConfig::default(),
-            ))
-        })
-    });
+/// Runs per row: cheap rows get more, whole-pipeline rows fewer.
+const RUNS: usize = 20;
+const HEAVY_RUNS: usize = 10;
+
+fn row<R>(name: &str, runs: usize, run: impl FnMut() -> R) {
+    let ms = time_ms(runs, thread_count(), run);
+    println!("bench: {name:<50} {ms:>12.3} ms (median of {runs})");
 }
 
-/// fig4/fig5: corridor co-location analysis (§3).
-fn bench_colocation(c: &mut Criterion) {
+fn main() {
+    if !std::env::args().any(|a| a == "--bench") {
+        return;
+    }
+    experiments();
+    ablations();
+}
+
+fn experiments() {
     let s = study();
+
+    // fig4/fig5: corridor co-location analysis (§3).
     let idx = corridor_index(&s.world.roads, &s.world.rails, &s.world.pipelines, 5.0).unwrap();
-    let params = intertubes::geo::OverlapParams {
+    let params = OverlapParams {
         buffer_km: 5.0,
         sample_step_km: 2.0,
     };
-    c.bench_function("fig4_colocation", |b| {
-        b.iter(|| black_box(analyze_colocation(&s.built.map, &idx, &params, 10).unwrap()))
+    row("fig4_colocation", RUNS, || {
+        analyze_colocation(&s.built.map, &idx, &params, 10)
     });
-}
 
-/// fig6/fig7: risk matrix construction and §4.2 metrics.
-fn bench_risk_matrix(c: &mut Criterion) {
-    let s = study();
-    let isps = s.mapped_isp_names();
-    c.bench_function("fig6_risk_matrix_build", |b| {
-        b.iter(|| black_box(RiskMatrix::build(&s.built.map, &isps)))
-    });
+    // fig6/fig7: §4.2 sharing metrics.
     let rm = s.risk_matrix();
-    c.bench_function("fig6_sharing_metrics", |b| {
-        b.iter(|| {
-            black_box(conduits_shared_by_at_least(&rm));
-            black_box(isp_sharing_ranking(&rm));
-        })
+    row("fig6_sharing_metrics", RUNS, || {
+        (conduits_shared_by_at_least(&rm), isp_sharing_ranking(&rm))
     });
-}
 
-/// fig8: Hamming heat map.
-fn bench_hamming(c: &mut Criterion) {
-    let rm = study().risk_matrix();
-    c.bench_function("fig8_hamming_heatmap", |b| {
-        b.iter(|| black_box(hamming_heatmap(&rm)))
-    });
-}
-
-/// fig9 + tab2/3/4: traceroute campaign and overlay (§4.3), swept over
-/// campaign sizes.
-fn bench_campaign_overlay(c: &mut Criterion) {
-    let s = study();
-    let mut group = c.benchmark_group("fig9_tab234_campaign");
-    group.sample_size(10);
+    // fig9 + tab2/3/4: the traceroute campaign, swept over its size, and
+    // the traffic-weighted risk CDF (§4.3).
     for probes in [5_000usize, 20_000] {
-        group.bench_function(format!("run_campaign_{probes}"), |b| {
-            let cfg = ProbeConfig {
-                probes,
-                ..ProbeConfig::default()
-            };
-            b.iter(|| black_box(run_campaign(&s.world, &cfg)))
-        });
+        let cfg = ProbeConfig {
+            probes,
+            ..ProbeConfig::default()
+        };
+        row(
+            &format!("fig9_tab234_campaign/run_campaign_{probes}"),
+            HEAVY_RUNS,
+            || run_campaign(&s.world, &cfg),
+        );
     }
-    let campaign = s.campaign(Some(20_000));
-    group.bench_function("overlay_20000", |b| {
-        b.iter(|| black_box(overlay_campaign(&s.world, &s.built.map, &campaign)))
-    });
-    let overlay = s.overlay(&campaign);
-    group.bench_function("fig9_traffic_risk_cdf", |b| {
-        b.iter(|| black_box(traffic_risk(&s.built.map, &overlay)))
-    });
-    group.finish();
-}
+    let overlay = s.overlay(&s.campaign(Some(20_000)));
+    row(
+        "fig9_tab234_campaign/fig9_traffic_risk_cdf",
+        HEAVY_RUNS,
+        || traffic_risk(&s.built.map, &overlay),
+    );
 
-/// fig10 + tab5: robustness suggestion over the 12 heavy links (§5.1).
-fn bench_robustness(c: &mut Criterion) {
-    let s = study();
-    let rm = s.risk_matrix();
+    // fig10 + tab5: robustness suggestion over the 12 heavy links (§5.1).
     let heavy = heaviest_conduits(&rm, 12);
-    c.bench_function("fig10_tab5_robustness_suggestion", |b| {
-        b.iter(|| black_box(robustness_suggestion(&s.built.map, &rm, &heavy)))
+    row("fig10_tab5_robustness_suggestion", RUNS, || {
+        robustness_suggestion(&s.built.map, &rm, &heavy)
     });
-}
 
-/// fig11: greedy conduit augmentation (§5.2).
-fn bench_augmentation(c: &mut Criterion) {
-    let s = study();
-    let rm = s.risk_matrix();
-    c.bench_function("fig11_augmentation_k10", |b| {
-        b.iter_batched(
-            || rm.clone(),
-            |rm| {
-                black_box(augment(
-                    &s.built.map,
-                    &rm,
-                    &s.world.cities,
-                    &s.world.roads,
-                    &AugmentationConfig::default(),
-                ))
-            },
-            BatchSize::SmallInput,
-        )
+    // fig11: greedy conduit augmentation (§5.2).
+    let cfg = AugmentationConfig::default();
+    row("fig11_augmentation_k10", RUNS, || {
+        augment(&s.built.map, &rm, &s.world.cities, &s.world.roads, &cfg)
     });
-}
 
-/// fig12: the latency study (§5.3).
-fn bench_latency(c: &mut Criterion) {
-    let s = study();
-    let mut group = c.benchmark_group("fig12_latency");
-    group.sample_size(10);
-    group.bench_function("latency_study_k4", |b| {
-        b.iter(|| {
-            black_box(latency_study(
-                &s.built.map,
-                &s.world.cities,
-                &s.world.roads,
-                &s.world.rails,
-                &LatencyConfig::default(),
-            ))
-        })
-    });
-    group.finish();
-}
-
-/// Substrate microbenches: the primitives everything above leans on.
-fn bench_substrates(c: &mut Criterion) {
-    let s = study();
+    // Substrate microbenches: the primitives everything above leans on.
     let graph = s.built.map.graph();
     let csr = graph.to_csr();
-    let lengths: Vec<f64> = s.built.map.conduits.iter().map(|c| c.geometry.length_km()).collect();
+    let lengths: Vec<f64> = s
+        .built
+        .map
+        .conduits
+        .iter()
+        .map(|c| c.geometry.length_km())
+        .collect();
     let km = |e: EdgeId| lengths[e.index()];
+    let (first, last, middle) = (
+        NodeId(0),
+        NodeId((csr.node_count() - 1) as u32),
+        NodeId((csr.node_count() / 2) as u32),
+    );
     let mut st = SearchState::new();
-    c.bench_function("substrate_dijkstra_map", |b| {
-        b.iter(|| {
-            black_box(
-                csr_dijkstra(
-                    &csr,
-                    &mut st,
-                    NodeId(0),
-                    NodeId((csr.node_count() - 1) as u32),
-                    km,
-                )
-                .unwrap(),
-            )
-        })
+    row("substrate_dijkstra_map", RUNS, || {
+        csr_dijkstra(&csr, &mut st, first, last, km).ok()
     });
     let mut ws = YenWorkspace::new();
-    c.bench_function("substrate_yen_k4", |b| {
-        b.iter(|| {
-            black_box(
-                yen_k_shortest_csr(
-                    &csr,
-                    &mut ws,
-                    NodeId(0),
-                    NodeId((csr.node_count() / 2) as u32),
-                    4,
-                    km,
-                    None,
-                )
-                .unwrap(),
-            )
-        })
+    row("substrate_yen_k4", RUNS, || {
+        yen_k_shortest_csr(&csr, &mut ws, first, middle, 4, km, None).ok()
     });
-    c.bench_function("substrate_stoer_wagner_min_cut", |b| {
-        b.iter(|| black_box(intertubes::graph::stoer_wagner_min_cut(&graph, |_| 1.0)))
+    row("substrate_stoer_wagner_min_cut", RUNS, || {
+        stoer_wagner_min_cut(&graph, |_| 1.0)
     });
-    let a = intertubes::geo::GeoPoint::new_unchecked(40.71, -74.01);
-    let bpt = intertubes::geo::GeoPoint::new_unchecked(34.05, -118.24);
-    c.bench_function("substrate_haversine", |b| {
-        b.iter(|| black_box(intertubes::geo::haversine_km(&a, &bpt)))
+    let a = GeoPoint::new_unchecked(40.71, -74.01);
+    let b = GeoPoint::new_unchecked(34.05, -118.24);
+    row("substrate_haversine_x10000", RUNS, || {
+        (0..10_000)
+            .map(|_| haversine_km(black_box(&a), &b))
+            .sum::<f64>()
     });
+
+    // World generation end to end (the synthetic-substrate cost itself).
+    row(
+        "world_generation/generate_reference_world",
+        HEAVY_RUNS,
+        intertubes::atlas::World::reference,
+    );
 }
 
-/// World generation end to end (the synthetic-substrate cost itself).
-fn bench_world(c: &mut Criterion) {
-    let mut group = c.benchmark_group("world_generation");
-    group.sample_size(10);
-    group.bench_function("generate_reference_world", |b| {
-        b.iter(|| black_box(intertubes::atlas::World::reference()))
-    });
-    group.finish();
-}
+fn ablations() {
+    let s = study();
 
-criterion_group!(
-    benches,
-    bench_pipeline,
-    bench_colocation,
-    bench_risk_matrix,
-    bench_hamming,
-    bench_campaign_overlay,
-    bench_robustness,
-    bench_augmentation,
-    bench_latency,
-    bench_substrates,
-    bench_world,
-);
-criterion_main!(benches);
+    // Grid cell size for the co-location query load.
+    let params = OverlapParams {
+        buffer_km: 5.0,
+        sample_step_km: 2.0,
+    };
+    let routes: Vec<&Polyline> = s
+        .built
+        .map
+        .conduits
+        .iter()
+        .take(60)
+        .map(|c| &c.geometry)
+        .collect();
+    for cell_km in [2.0, 5.0, 15.0, 40.0] {
+        let mut idx = CorridorIndex::new(cell_km).unwrap();
+        for (tag, g) in s.world.roads.geometries() {
+            idx.add_corridor(CorridorLayer::Road, g, tag);
+        }
+        row(
+            &format!("ablation_grid_cell_km/cell_{cell_km}km"),
+            HEAVY_RUNS,
+            || {
+                let colocations = routes.iter().map(|r| idx.colocation(r, &params).ok());
+                colocations.collect::<Vec<_>>()
+            },
+        );
+    }
+
+    // Grid vs brute force for nearest-segment queries.
+    let mut grid = SegmentGrid::new(5.0).unwrap();
+    let mut segments: Vec<(GeoPoint, GeoPoint)> = Vec::new();
+    for (tag, g) in s.world.roads.geometries() {
+        grid.insert_polyline(g, tag);
+        segments.extend(g.segments().map(|(a, b)| (*a, *b)));
+    }
+    let queries: Vec<GeoPoint> = s.world.cities.iter().take(64).map(|c| c.location).collect();
+    row(
+        "ablation_grid_vs_brute/grid_nearest_within_10km",
+        RUNS,
+        || {
+            let nearest = queries.iter().map(|q| grid.nearest_within(q, 10.0));
+            nearest.collect::<Vec<_>>()
+        },
+    );
+    row(
+        "ablation_grid_vs_brute/brute_nearest_within_10km",
+        HEAVY_RUNS,
+        || {
+            let nearest = |q: &GeoPoint| {
+                let proj = LocalProjection::new(*q);
+                let distances = segments
+                    .iter()
+                    .map(|(a, b)| proj.point_segment_distance_km(q, a, b));
+                distances.fold(f64::INFINITY, f64::min)
+            };
+            queries.iter().map(nearest).sum::<f64>()
+        },
+    );
+
+    // Cluster threshold: construction cost at different merge thresholds.
+    let published = s.world.publish_maps();
+    let corpus = generate_corpus(&s.world, &CorpusConfig::default());
+    for cluster_km in [0.5, 2.5, 10.0] {
+        let cfg = PipelineConfig {
+            cluster_km,
+            ..PipelineConfig::default()
+        };
+        row(
+            &format!("ablation_cluster_km/cluster_{cluster_km}km"),
+            HEAVY_RUNS,
+            || {
+                let w = &s.world;
+                build_map(&published, &corpus, &w.cities, &w.roads, &w.rails, &cfg)
+            },
+        );
+    }
+
+    // Yen k: the cost of widening the "existing paths" sample.
+    let csr = s.built.map.graph().to_csr();
+    let lengths: Vec<f64> = s
+        .built
+        .map
+        .conduits
+        .iter()
+        .map(|c| c.geometry.length_km())
+        .collect();
+    let km = |e: EdgeId| lengths[e.index()];
+    let (src, dst) = (NodeId(0), NodeId((csr.node_count() / 2) as u32));
+    let mut ws = YenWorkspace::new();
+    for k in [1usize, 2, 4, 8] {
+        row(&format!("ablation_yen_k/k_{k}"), RUNS, || {
+            yen_k_shortest_csr(&csr, &mut ws, src, dst, k, km, None).ok()
+        });
+    }
+
+    // Campaign noise: MPLS and geolocation noise barely change the
+    // simulation cost; retries for unroutable combinations dominate.
+    let default = ProbeConfig::default();
+    let (mpls, geo) = (default.mpls_rate, default.geolocation_failure_rate);
+    for (name, mpls_rate, geolocation_failure_rate) in [
+        ("clean", 0.0, 0.0),
+        ("default", mpls, geo),
+        ("noisy", 0.6, 0.4),
+    ] {
+        let cfg = ProbeConfig {
+            probes: 5_000,
+            mpls_rate,
+            geolocation_failure_rate,
+            ..ProbeConfig::default()
+        };
+        row(
+            &format!("ablation_campaign_noise/{name}"),
+            HEAVY_RUNS,
+            || run_campaign(&s.world, &cfg),
+        );
+    }
+}

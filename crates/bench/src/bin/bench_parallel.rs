@@ -1,13 +1,13 @@
 //! Serial-vs-parallel wall-clock measurement for the four parallel hot
-//! paths (DESIGN.md §7), recorded to `BENCH_parallel.json` by
-//! `scripts/bench_gate.sh`.
+//! paths (DESIGN.md §7), recorded to `BENCH_parallel.json` by the gate
+//! runner (`src/bin/gates.rs`, its `parallel` group).
 //!
-//! Unlike the Criterion benches this binary is cheap enough to run in CI:
-//! each stage is timed over a few iterations pinned to one thread and again
-//! at the environment's thread count, and the speedups are printed as JSON
-//! on stdout. On boxes with fewer than 4 cores the numbers are recorded but
-//! the gate script does not enforce a speedup floor — with a single core
-//! the parallel arms legitimately tie (or slightly trail) the serial ones.
+//! Each stage is timed with [`time_ms`] as the median of `ITERS` runs
+//! pinned to one thread and again at the environment's thread count, and
+//! the speedups are printed as JSON on stdout. On boxes with fewer than 4
+//! cores the numbers are recorded but the runner does not enforce a speedup
+//! floor — with a single core the parallel arms legitimately tie (or
+//! slightly trail) the serial ones.
 //!
 //! Each stage additionally runs once under an `intertubes-obs` session, and
 //! the per-sub-stage wall times from the observability spans (DESIGN.md §8)
@@ -18,7 +18,7 @@
 //! detected once via `available_parallelism`, `"threads"` is the width the
 //! parallel arms actually ran at (forced to ≥ 2 so the parallel code path
 //! is exercised even on 1-core boxes), and `"floor_eligible"` says whether
-//! the speedup floor is meaningful here — `bench_gate.sh` reads that flag
+//! the speedup floor is meaningful here — the runner reads that flag
 //! instead of re-detecting the host.
 //!
 //! The `latency_paths` row also carries `"path_query_us"`: per-query
@@ -40,27 +40,12 @@ use intertubes::mitigation::latency_study;
 use intertubes::parallel::{thread_count, with_threads};
 use intertubes::probes::overlay_campaign;
 use intertubes::risk::{hamming_heatmap, RiskMatrix};
-use intertubes_bench::study;
+use intertubes_bench::{study, time_ms};
 
-const ITERS: usize = 3;
+const ITERS: usize = 5;
 
 fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
-}
-
-/// Median wall-clock milliseconds over `ITERS` runs at `threads` threads.
-fn time_ms<R>(threads: usize, mut run: impl FnMut() -> R) -> f64 {
-    let mut samples: Vec<f64> = (0..ITERS)
-        .map(|_| {
-            with_threads(threads, || {
-                let t0 = Instant::now();
-                std::hint::black_box(run());
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 /// Per-query microseconds for each point-to-point search engine over a
@@ -163,7 +148,7 @@ fn path_query_us(s: &intertubes::Study) -> serde_json::Value {
 
 fn main() {
     // The host is detected exactly once, here; everything downstream
-    // (including bench_gate.sh) reads these recorded values.
+    // (including the gate runner) reads these recorded values.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = thread_count().max(2);
     let floor_eligible = cores >= 4;
@@ -175,8 +160,8 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut measure = |name: &str, run: &mut dyn FnMut()| {
-        let serial_ms = time_ms(1, &mut *run);
-        let parallel_ms = time_ms(threads, &mut *run);
+        let serial_ms = time_ms(ITERS, 1, &mut *run);
+        let parallel_ms = time_ms(ITERS, threads, &mut *run);
         let speedup = if parallel_ms > 0.0 {
             serial_ms / parallel_ms
         } else {

@@ -1,14 +1,18 @@
 //! Shared helpers for the benchmark harness and the `figures` binary.
 //!
 //! Every table and figure of the paper's evaluation has a regeneration
-//! routine here; the `figures` binary prints them, the Criterion benches
-//! time the underlying computations, and EXPERIMENTS.md records measured vs
-//! paper values. See DESIGN.md §3 for the experiment index.
+//! routine here; the `figures` binary prints them, the `experiments` bench
+//! (`cargo bench -p intertubes-bench`) times the underlying computations
+//! with [`time_ms`], and EXPERIMENTS.md records measured vs paper values.
+//! See DESIGN.md §3 for the experiment index.
 
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
+
+use intertubes::parallel::with_threads;
 
 use intertubes::probes::{Campaign, Direction, Overlay};
 use intertubes::risk::{
@@ -21,6 +25,23 @@ use intertubes::Study;
 pub fn study() -> &'static Study {
     static STUDY: OnceLock<Study> = OnceLock::new();
     STUDY.get_or_init(Study::reference)
+}
+
+/// Median wall-clock milliseconds over `iters` runs of `run`, each pinned
+/// to `threads` threads: the one timing helper of `bench_parallel` and the
+/// `experiments` bench.
+pub fn time_ms<R>(iters: usize, threads: usize, mut run: impl FnMut() -> R) -> f64 {
+    let mut samples: Vec<f64> = (0..iters.max(1))
+        .map(|_| {
+            with_threads(threads, || {
+                let t0 = Instant::now();
+                std::hint::black_box(run());
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// A shared reference campaign + overlay at the given probe count.

@@ -2,10 +2,8 @@
 //! re-run the §4 risk assessment on the upgraded infrastructure — closing
 //! the loop the paper leaves open between §5's proposals and §4's metrics.
 
-use std::collections::HashMap;
-
 use intertubes_map::{FiberMap, MapConduit, MapConduitId, Provenance, Tenancy, TenancySource};
-use intertubes_risk::RiskMatrix;
+use intertubes_risk::{RiskMatrix, Roster};
 use serde::{Deserialize, Serialize};
 
 use crate::augmentation::AugmentationReport;
@@ -112,7 +110,7 @@ pub fn apply_cut(map: &FiberMap, cut: &[MapConduitId]) -> FiberMap {
 /// "after" profile is the "before" profile minus the cut rows.
 ///
 /// Semantics match [`RiskMatrix::build`]'s lenient roster handling:
-/// duplicate roster names are dropped (first occurrence wins), a provider
+/// [`Roster`] drops duplicate names (first occurrence wins), a provider
 /// listed twice on one conduit counts once, and names absent from the map
 /// are ignored. Every sum is an integer, so converting it to `f64` once
 /// equals the exact `f64` fold of the full rebuild, and [`CutEvaluator::cut`]
@@ -142,14 +140,11 @@ pub struct CutEvaluator {
 impl CutEvaluator {
     /// Freezes the sharing profile of `map` over the roster `isps`.
     pub fn new(map: &FiberMap, isps: &[String]) -> CutEvaluator {
-        let mut roster: Vec<String> = Vec::with_capacity(isps.len());
-        let mut index: HashMap<&str, u32> = HashMap::with_capacity(isps.len());
-        for isp in isps {
-            if !index.contains_key(isp.as_str()) {
-                index.insert(isp, roster.len() as u32);
-                roster.push(isp.clone());
-            }
-        }
+        let Roster {
+            names: roster,
+            index,
+            ..
+        } = Roster::new(isps);
         let n = map.conduits.len();
         let mut starts = Vec::with_capacity(n + 1);
         let mut tenants = Vec::new();

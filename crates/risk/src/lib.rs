@@ -16,6 +16,7 @@ mod hamming;
 mod matrix;
 mod metrics;
 mod resilience;
+mod roster;
 mod traffic;
 
 pub use hamming::{hamming_distance, hamming_heatmap, HammingHeatmap};
@@ -25,6 +26,7 @@ pub use metrics::{
     SharingStats,
 };
 pub use resilience::{isp_resilience, map_resilience, IspResilience, ResilienceReport};
+pub use roster::Roster;
 pub use traffic::{traffic_risk, Cdf, TrafficRisk};
 
 /// Errors of the risk layer. Raised only under the strict degradation

@@ -9,7 +9,7 @@ use intertubes_degrade::{DegradationAction, DegradationPolicy, DegradationReport
 use intertubes_map::FiberMap;
 use serde::{Deserialize, Serialize};
 
-use crate::RiskError;
+use crate::{RiskError, Roster};
 
 /// The §4.1 risk matrix.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -54,32 +54,25 @@ impl RiskMatrix {
     ) -> Result<(RiskMatrix, DegradationReport), RiskError> {
         let mut span = intertubes_obs::stage("risk.matrix");
         span.items("conduits", map.conduits.len());
-        let mut report = DegradationReport::new();
-        let mut roster: Vec<String> = Vec::with_capacity(isps.len());
-        let mut duplicates = 0usize;
-        for isp in isps {
-            if roster.contains(isp) {
-                if policy.is_strict() {
-                    span.failed();
-                    return Err(RiskError::DuplicateProvider { name: isp.clone() });
-                }
-                duplicates += 1;
-            } else {
-                roster.push(isp.clone());
-            }
+        let roster = Roster::new(isps);
+        if let Some(name) = roster.first_duplicate.filter(|_| policy.is_strict()) {
+            span.failed();
+            return Err(RiskError::DuplicateProvider { name: name.into() });
         }
+        let duplicates = roster.duplicates;
+        let mut report = DegradationReport::new();
         report.note(
             "risk.matrix",
             DegradationAction::Repaired,
             "duplicate-provider",
             duplicates,
         );
-        span.items("isps", roster.len());
+        span.items("isps", roster.names.len());
         span.items("duplicates", duplicates);
         if duplicates > 0 {
             span.degraded();
         }
-        Ok((RiskMatrix::build_roster(map, &roster), report))
+        Ok((RiskMatrix::build_roster(map, &roster.names), report))
     }
 
     fn build_roster(map: &FiberMap, isps: &[String]) -> RiskMatrix {

@@ -41,9 +41,9 @@ pub struct QueryEngine {
     csr: CsrGraph,
     /// Per-conduit km (edge `i` = conduit `i`).
     km: Vec<f64>,
-    /// ALT tables: from the snapshot's v2 section when present, rebuilt
-    /// deterministically otherwise (v1 containers) — either way the same
-    /// tables, so answers don't depend on the container version.
+    /// ALT tables: from the snapshot's landmarks section when present,
+    /// rebuilt deterministically otherwise — either way the same tables,
+    /// so answers don't depend on whether the container carried them.
     landmarks: Option<Landmarks>,
     /// The path index's routes re-expressed as the scenario engine's
     /// route→conduit table, with the conduit → hit-pair postings (one

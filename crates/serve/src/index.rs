@@ -34,8 +34,9 @@ pub(crate) fn conduit_km(map: &FiberMap) -> Vec<f64> {
 }
 
 /// Builds the ALT landmark tables for `map`'s conduit graph under the km
-/// cost — the tables frozen into v2 snapshots and rebuilt (bit-identical:
-/// the selection is deterministic) when a v1 snapshot is served.
+/// cost — the tables frozen into snapshots and rebuilt (bit-identical:
+/// the selection is deterministic) when a container has no landmarks
+/// section.
 pub fn build_landmarks(map: &FiberMap) -> Option<Landmarks> {
     let csr = map.graph().to_csr();
     let km = conduit_km(map);

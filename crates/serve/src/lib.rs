@@ -6,10 +6,11 @@
 //! This crate splits the two concerns:
 //!
 //! * [`snapshot`] — the versioned, checksummed container
-//!   (`intertubes-snapshot/v2`, with v1 read-compat) that freezes a built
-//!   study: physical map, risk matrix, Hamming heat map, traceroute
-//!   overlay, the precomputed [`index::PathIndex`], and the ALT landmark
-//!   tables for the live search path;
+//!   (`intertubes-snapshot/v2`; any other schema, v1 included, is
+//!   rejected) that freezes a built study: physical map, risk matrix,
+//!   Hamming heat map, traceroute overlay, the precomputed
+//!   [`index::PathIndex`], and the ALT landmark tables for the live search
+//!   path;
 //! * [`engine`] — a pure query engine answering typed [`query::Query`]
 //!   requests (per-provider risk, similarity, pair latency, top-shared
 //!   rankings, conduit-cut what-ifs, and geofenced scenario ensembles
@@ -71,6 +72,6 @@ pub use telemetry::{
 pub use tenant::{quota_rejection, QuotaConfig, QuotaDecision, TenantQuotas};
 pub use snapshot::{
     fnv1a64, section_bounds, SectionBounds, SnapshotError, StudySnapshot, SNAPSHOT_MAGIC,
-    SNAPSHOT_SCHEMA, SNAPSHOT_SCHEMA_V2,
+    SNAPSHOT_SCHEMA,
 };
 pub use workload::{mixed_workload, splitmix64};

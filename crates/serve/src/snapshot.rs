@@ -12,17 +12,17 @@
 //! 0       8             magic b"ITSNAP\r\n"
 //! 8       8             header length H, u64 little-endian
 //! 16      H             header JSON: {"schema","payload_len","checksum",
-//!                       and in v2: "landmarks_len","landmarks_checksum"}
+//!                       with landmarks: "landmarks_len","landmarks_checksum"}
 //! 16+H    payload_len   payload JSON (the StudySnapshot itself, compact)
-//! …       landmarks_len landmarks JSON (v2 only; the ALT tables)
+//! …       landmarks_len landmarks JSON (the ALT tables, when present)
 //! ```
 //!
-//! The header names the schema (`intertubes-snapshot/v2`; v1 containers
-//! load read-only) and carries an FNV-1a 64-bit checksum per section, so
-//! truncation, bit rot, and version skew are all detected before any
-//! payload parsing happens. The ALT landmark tables ride in their own
-//! checksummed section rather than inside the payload: v1 readers never
-//! see them, and a corrupt section is reported as exactly that
+//! The header names the schema (`intertubes-snapshot/v2`; any other,
+//! including the retired v1, is [`SnapshotError::WrongSchema`]) and carries
+//! an FNV-1a 64-bit checksum per section, so truncation, bit rot, and
+//! version skew are all detected before any payload parsing happens. The
+//! ALT landmark tables ride in their own checksummed section rather than
+//! inside the payload, so a corrupt section is reported as exactly that
 //! ([`SnapshotError::SectionChecksumMismatch`]) instead of a payload
 //! parse error. Both header and payload serialization are deterministic
 //! (fixed key order, round-trip-stable float formatting), which gives the
@@ -38,13 +38,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::index::PathIndex;
 
-/// The v1 schema identifier: payload only, no landmarks section. Still
-/// accepted read-only by [`StudySnapshot::from_bytes`].
-pub const SNAPSHOT_SCHEMA: &str = "intertubes-snapshot/v1";
-
-/// The v2 schema identifier: payload plus a checksummed landmarks
-/// section. Written whenever a snapshot carries landmark tables.
-pub const SNAPSHOT_SCHEMA_V2: &str = "intertubes-snapshot/v2";
+/// The schema identifier every container is written and read under: the
+/// payload, plus a checksummed landmarks section when the snapshot carries
+/// landmark tables.
+pub const SNAPSHOT_SCHEMA: &str = "intertubes-snapshot/v2";
 
 /// The 8-byte container magic. The embedded `\r\n` catches newline-mangling
 /// transports, like PNG's signature does.
@@ -94,7 +91,7 @@ pub enum SnapshotError {
     },
     /// The payload passed the checksum but failed to parse or serialize.
     Payload(String),
-    /// A named v2 section's checksum does not match the header's.
+    /// A named section's checksum does not match the header's.
     SectionChecksumMismatch {
         /// Which section failed (e.g. `"landmarks"`).
         section: &'static str,
@@ -103,7 +100,7 @@ pub enum SnapshotError {
         /// Checksum of the section as read (hex).
         found: String,
     },
-    /// A named v2 section passed its checksum but failed to parse.
+    /// A named section passed its checksum but failed to parse.
     BadSection {
         /// Which section failed (e.g. `"landmarks"`).
         section: &'static str,
@@ -123,8 +120,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::BadHeader(e) => write!(f, "snapshot header malformed: {e}"),
             SnapshotError::WrongSchema { found } => write!(
                 f,
-                "snapshot schema {found:?} is not supported (expected \
-                 {SNAPSHOT_SCHEMA_V2:?} or {SNAPSHOT_SCHEMA:?})"
+                "snapshot schema {found:?} is not supported (expected {SNAPSHOT_SCHEMA:?})"
             ),
             SnapshotError::ChecksumMismatch { expected, found } => write!(
                 f,
@@ -171,7 +167,7 @@ pub struct SectionBounds {
     pub header: (usize, usize),
     /// The payload JSON: `[start, end)`.
     pub payload: (usize, usize),
-    /// The v2 landmarks section, when the header declares one.
+    /// The landmarks section, when the header declares one.
     pub landmarks: Option<(usize, usize)>,
 }
 
@@ -235,15 +231,15 @@ pub struct StudySnapshot {
     /// layer's live searches start pruned without a rebuild.
     ///
     /// Not part of the payload JSON: the tables travel in their own
-    /// checksummed v2 container section. `None` after loading a v1
-    /// container (the engine rebuilds them deterministically).
+    /// checksummed container section. `None` when the container has no
+    /// such section (the engine rebuilds them deterministically).
     pub landmarks: Option<Landmarks>,
 }
 
 // Serialization is hand-written (not derived) so `landmarks` stays out of
 // the payload JSON: the tables travel in the container's own checksummed
 // section, and the payload bytes stay identical whether or not landmarks
-// are attached (v1 read-compat depends on this).
+// are attached.
 impl Serialize for StudySnapshot {
     fn to_json_value(&self) -> serde::Value {
         let mut map = serde::Map::new();
@@ -347,36 +343,33 @@ fn decode_payload(text: &str) -> Result<StudySnapshot, serde::Error> {
 }
 
 impl StudySnapshot {
-    /// Serializes to the container format: v2 when landmark tables are
-    /// present, v1 otherwise. Deterministic: the same snapshot always
+    /// Serializes to the container format, with a landmarks section when
+    /// landmark tables are present. Deterministic: the same snapshot always
     /// yields the same bytes.
     pub fn to_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
         let payload = serde_json::to_string(self).map_err(|e| SnapshotError::Payload(e.to_string()))?;
         let checksum = fnv1a64(payload.as_bytes());
-        // Headers are assembled by hand so their key order is fixed by
-        // these lines, not by a map implementation.
-        let (header, landmarks) = match &self.landmarks {
-            Some(lm) => {
-                let section = serde_json::to_string(lm).map_err(|e| SnapshotError::BadSection {
-                    section: "landmarks",
-                    error: e.to_string(),
-                })?;
-                let section_sum = fnv1a64(section.as_bytes());
-                let header = format!(
-                    "{{\"schema\":\"{SNAPSHOT_SCHEMA_V2}\",\"payload_len\":{},\"checksum\":\"{checksum:016x}\",\"landmarks_len\":{},\"landmarks_checksum\":\"{section_sum:016x}\"}}",
-                    payload.len(),
-                    section.len()
-                );
-                (header, Some(section))
-            }
-            None => (
-                format!(
-                    "{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"payload_len\":{},\"checksum\":\"{checksum:016x}\"}}",
-                    payload.len()
-                ),
-                None,
-            ),
+        let landmarks = match &self.landmarks {
+            Some(lm) => Some(serde_json::to_string(lm).map_err(|e| SnapshotError::BadSection {
+                section: "landmarks",
+                error: e.to_string(),
+            })?),
+            None => None,
         };
+        // The header is assembled by hand so its key order is fixed by
+        // these lines, not by a map implementation.
+        let mut header = format!(
+            "{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"payload_len\":{},\"checksum\":\"{checksum:016x}\"",
+            payload.len()
+        );
+        if let Some(section) = &landmarks {
+            header += &format!(
+                ",\"landmarks_len\":{},\"landmarks_checksum\":\"{:016x}\"",
+                section.len(),
+                fnv1a64(section.as_bytes())
+            );
+        }
+        header.push('}');
         let lm_len = landmarks.as_ref().map_or(0, |s| s.len());
         let mut out = Vec::with_capacity(16 + header.len() + payload.len() + lm_len);
         out.extend_from_slice(SNAPSHOT_MAGIC);
@@ -419,7 +412,7 @@ impl StudySnapshot {
             .get("schema")
             .and_then(|v| v.as_str())
             .ok_or_else(|| SnapshotError::BadHeader("missing \"schema\"".into()))?;
-        if schema != SNAPSHOT_SCHEMA && schema != SNAPSHOT_SCHEMA_V2 {
+        if schema != SNAPSHOT_SCHEMA {
             return Err(SnapshotError::WrongSchema {
                 found: schema.to_string(),
             });
@@ -451,13 +444,13 @@ impl StudySnapshot {
         let text = std::str::from_utf8(payload)
             .map_err(|e| SnapshotError::Payload(e.to_string()))?;
         let mut snap = decode_payload(text).map_err(|e| SnapshotError::Payload(e.to_string()))?;
-        if schema == SNAPSHOT_SCHEMA_V2 {
+        if header.get("landmarks_len").is_some() {
             snap.landmarks = Some(Self::parse_landmarks(bytes, &header, payload_end)?);
         }
         Ok(snap)
     }
 
-    /// Validates and parses the v2 landmarks section, whose extent and
+    /// Validates and parses the landmarks section, whose extent and
     /// checksum the header declares.
     fn parse_landmarks(
         bytes: &[u8],

@@ -1,7 +1,10 @@
-//! `gates` — the determinism gate runner.
+//! `gates` — the gate runner: everything CI measures or gates.
 //!
-//! One declarative table holds every CLI arm of the byte-identity contract
-//! (DESIGN.md §8, §9.5, §11–§14) and the three serving BENCH records. An
+//! One declarative table holds the `lint` group (every first-party manifest
+//! opts into the workspace lints, and `cargo clippy --workspace` passes
+//! with `unwrap_used`/`expect_used` denied), every CLI arm of the
+//! byte-identity contract (DESIGN.md §8, §9.5, §11–§14), and the four BENCH
+//! records with their floors. An
 //! arm is an `intertubes` argv, the exit codes it may return, and the files
 //! it writes. Arms whose names differ only in their last `/` segment form a
 //! compare group: they must agree on their exit code and, when they
@@ -14,8 +17,9 @@
 //! cargo build --release --workspace --bins && ./target/release/gates
 //! ```
 //!
-//! Everything lands in `gates/` at the repository root, which CI uploads;
-//! the BENCH records are also written to the repository root. It exits 0
+//! Everything lands in `gates/` at the repository root, which CI uploads.
+//! A BENCH record that passes its checks also replaces the committed one
+//! at the repository root; a failing one leaves it untouched. It exits 0
 //! when every check passes, and 1 on the first failure or any argument.
 
 use std::fs;
@@ -41,6 +45,18 @@ const OK_OR_DATA_ERROR: &[i32] = &[0, 3];
 const POLL: Duration = Duration::from_millis(50);
 const ADDR_POLLS: u32 = 600;
 const EXIT_POLLS: u32 = 12_000;
+
+/// BENCH_parallel floors: hosts with `MIN_CORES`+ cores must show
+/// `MIN_SPEEDUP`x on at least `MIN_STAGES` of the four stages, and every
+/// host must keep `latency_paths` serial time within `MAX_REGRESSION_PCT`
+/// of the committed record.
+const MIN_CORES: u64 = 4;
+const MIN_SPEEDUP: f64 = 2.0;
+const MIN_STAGES: usize = 2;
+const MAX_REGRESSION_PCT: f64 = 20.0;
+/// The per-query path-engine timings the `latency_paths` row must carry.
+const PATH_QUERY_FIELDS: &str = "csr_dijkstra_cold csr_dijkstra_warm bidirectional_cold \
+    bidirectional_warm csr_alt_cold csr_alt_warm";
 
 /// Stages each traced run profile must record: the whole pipeline for
 /// `export`, the scheduler for `serve`, the ensemble for `scenario`, and
@@ -82,12 +98,13 @@ struct Arm {
     outs: Vec<Out>,
 }
 
-/// A `bench_*` bin whose stdout is a BENCH record holding `fields`.
+/// A `bench_*` bin whose stdout is a BENCH record holding `fields`, judged
+/// by `floors` against the committed record, when there is one.
 struct Bench {
     bin: &'static str,
     record: &'static str,
     fields: &'static str,
-    floors: fn(&Value) -> Res,
+    floors: fn(&Value, Option<&Value>) -> Res,
 }
 
 enum Step {
@@ -96,6 +113,8 @@ enum Step {
     /// a client's argv becomes the address the server writes to `.1`.
     Listen(Arm, String, Vec<Arm>),
     Bench(Bench),
+    /// The workspace-lint opt-in sweep and `cargo clippy --workspace`.
+    Lint,
 }
 
 /// Splits `line` on whitespace: no argument in the table holds a space.
@@ -115,7 +134,7 @@ fn arm(name: impl Into<String>, codes: &'static [i32], line: &str, outs: Vec<Out
 fn table() -> Vec<(&'static str, Vec<Step>)> {
     let run = |name: String, line: String, out: Out| Step::Run(arm(name, OK, &line, vec![out]));
     let bench = |bin, record, fields| {
-        Step::Bench(Bench { bin, record, fields, floors: |_| Ok(()) })
+        Step::Bench(Bench { bin, record, fields, floors: |doc, _| deterministic(doc) })
     };
     let golden = |name: &str| format!("../tests/goldens/{name}.scenario.json");
 
@@ -217,7 +236,7 @@ fn table() -> Vec<(&'static str, Vec<Step>)> {
         record: "BENCH_scenario.json",
         fields: "threads cores floor_eligible serial_ms parallel_ms speedup \
                  scenarios_per_sec_serial scenarios_per_sec_parallel",
-        floors: scenario_floors,
+        floors: |doc, _| deterministic(doc).and_then(|()| scenario_floors(doc)),
     }));
 
     // Replays over framed TCP byte-match the local replay of the same
@@ -253,8 +272,16 @@ fn table() -> Vec<(&'static str, Vec<Step>)> {
     remote.push(bench("bench_remote", "BENCH_remote.json",
                       "replay local_digest queries_per_sec frames"));
 
-    vec![("trace", trace), ("serve", serve), ("chaos", chaos), ("stats", stats),
-         ("scenario", scenario), ("remote", remote)]
+    // The four parallel hot paths, serial vs parallel (DESIGN.md §7).
+    let parallel = vec![Step::Bench(Bench {
+        bin: "bench_parallel",
+        record: "BENCH_parallel.json",
+        fields: "threads cores floor_eligible stages",
+        floors: parallel_floors,
+    })];
+
+    vec![("lint", vec![Step::Lint]), ("trace", trace), ("serve", serve), ("chaos", chaos),
+         ("stats", stats), ("scenario", scenario), ("remote", remote), ("parallel", parallel)]
 }
 
 fn main() {
@@ -302,11 +329,12 @@ fn gate() -> Res {
                 Step::Run(arm) => runner.run_arm(arm, "")?,
                 Step::Listen(server, addr, clients) => runner.listen(server, addr, clients)?,
                 Step::Bench(bench) => runner.bench(bench)?,
+                Step::Lint => lint()?,
             }
         }
     }
     let (arms, records) = (runner.arms, runner.records);
-    println!("gates: OK — {arms} arms, {records} bench records");
+    println!("gates: OK — lint clean, {arms} arms, {records} bench records");
     Ok(())
 }
 
@@ -416,8 +444,16 @@ impl Runner {
         Ok(())
     }
 
+    /// Runs a bench bin and checks its record. The `gates/` copy is always
+    /// written; the committed copy, read before the run, is replaced only
+    /// once the new record passes.
     fn bench(&mut self, bench: &Bench) -> Res {
         let (bin, record) = (bench.bin, bench.record);
+        let path = Path::new(ROOT).join(record);
+        let committed = path.exists().then(|| parse(&read_text(&path)?));
+        let committed = committed
+            .transpose()
+            .map_err(|e| format!("{record}: {e}"))?;
         let out = Command::new(self.bins.join(bin)).current_dir(ROOT).output();
         let out = out.map_err(|e| format!("{bin}: cannot run: {e}"))?;
         if !out.status.success() {
@@ -425,10 +461,10 @@ impl Runner {
             return Err(format!("{bin}: {}\n{stderr}", out.status));
         }
         let text = String::from_utf8_lossy(&out.stdout);
-        write(&Path::new(ROOT).join(record), text.as_bytes())?;
         write(&self.work.join(record), text.as_bytes())?;
-        let doc = serde_json::from_str(&text).map_err(|e| format!("{record}: {e:?}"))?;
-        check_bench(&doc, bench).map_err(|e| format!("{record}: {e}"))?;
+        let checked = parse(&text).and_then(|doc| check_bench(&doc, committed.as_ref(), bench));
+        checked.map_err(|e| format!("{record}: {e}"))?;
+        write(&path, text.as_bytes())?;
         self.records += 1;
         println!("  ok   {record:<36} bench record");
         Ok(())
@@ -478,17 +514,137 @@ fn compare(work: &Path, first: &Ran, other: &Ran) -> Res {
     Ok(())
 }
 
-fn check_bench(doc: &Value, bench: &Bench) -> Res {
+/// The `lint` group. Clippy only judges crates that opt into the
+/// workspace lints, so the root manifest and every `crates/*` manifest must
+/// (vendored stand-ins under `vendor/` are exempt); then `cargo clippy
+/// --workspace`, which covers library and binary targets, must exit 0.
+fn lint() -> Res {
+    let crates =
+        fs::read_dir(Path::new(ROOT).join("crates")).map_err(|e| format!("crates/: {e}"))?;
+    let mut manifests = vec![Path::new(ROOT).join("Cargo.toml")];
+    for entry in crates {
+        let manifest = entry
+            .map_err(|e| format!("crates/: {e}"))?
+            .path()
+            .join("Cargo.toml");
+        if manifest.exists() {
+            manifests.push(manifest);
+        }
+    }
+    for manifest in &manifests {
+        if !opts_into_workspace_lints(&read_text(manifest)?) {
+            let path = manifest.display();
+            return Err(format!(
+                "{path} lacks `[lints] workspace = true`, so clippy skips it"
+            ));
+        }
+    }
+    println!(
+        "  ok   {:<36} {} manifests",
+        "lint/workspace-opt-in",
+        manifests.len()
+    );
+    let clippy = Command::new(env!("CARGO"))
+        .args(["clippy", "--workspace"])
+        .current_dir(ROOT)
+        .output();
+    let out = clippy.map_err(|e| format!("cannot run cargo clippy: {e}"))?;
+    if !out.status.success() {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let lines: Vec<&str> = stderr
+            .lines()
+            .skip_while(|l| !l.starts_with("error"))
+            .take(30)
+            .collect();
+        return Err(format!(
+            "cargo clippy --workspace: {}\n{}",
+            out.status,
+            lines.join("\n")
+        ));
+    }
+    println!("  ok   {:<36} exit 0", "lint/clippy");
+    Ok(())
+}
+
+/// Whether a manifest holds `[lints]` directly followed by `workspace = true`.
+fn opts_into_workspace_lints(manifest: &str) -> bool {
+    let lines: Vec<&str> = manifest.lines().map(str::trim_end).collect();
+    lines
+        .windows(2)
+        .any(|pair| pair == ["[lints]", "workspace = true"])
+}
+
+fn parse(text: &str) -> Res<Value> {
+    serde_json::from_str(text).map_err(|e| format!("not JSON: {e:?}"))
+}
+
+fn check_bench(doc: &Value, committed: Option<&Value>, bench: &Bench) -> Res {
     for field in bench.fields.split_whitespace() {
         if values_of(doc, field).is_empty() {
             return Err(format!("missing {field:?}"));
         }
     }
+    (bench.floors)(doc, committed)
+}
+
+/// A serving record must mark every run it timed deterministic.
+fn deterministic(doc: &Value) -> Res {
     let flags = values_of(doc, "deterministic");
     if flags.is_empty() || flags.iter().any(|v| v.as_bool() != Some(true)) {
         return Err("recorded a nondeterministic run".into());
     }
-    (bench.floors)(doc)
+    Ok(())
+}
+
+/// BENCH_parallel floors. The `latency_paths` row carries every per-query
+/// path-engine timing, and its serial time stays within
+/// `MAX_REGRESSION_PCT` of the committed record's. When the bench marks the
+/// host `floor_eligible` (which must agree with its recorded `cores`), at
+/// least `MIN_STAGES` stages reach `MIN_SPEEDUP`x; determinism is
+/// `tests/determinism.rs`'s to prove, not this record's.
+fn parallel_floors(doc: &Value, committed: Option<&Value>) -> Res {
+    let latency = latency_row(doc)?;
+    for field in PATH_QUERY_FIELDS.split_whitespace() {
+        at(latency, &format!("path_query_us.{field}"), Value::as_f64)?;
+    }
+    let serial_ms = at(latency, "serial_ms", Value::as_f64)?;
+    if let Some(committed) = committed {
+        let baseline = latency_row(committed).and_then(|row| at(row, "serial_ms", Value::as_f64));
+        let baseline = baseline.map_err(|e| format!("committed record: {e}"))?;
+        if serial_ms > baseline * (1.0 + MAX_REGRESSION_PCT / 100.0) {
+            return Err(format!(
+                "latency_paths serial {serial_ms} ms is more than \
+                {MAX_REGRESSION_PCT}% over the committed {baseline} ms"
+            ));
+        }
+    }
+    let cores = at(doc, "cores", Value::as_u64)?;
+    let eligible = at(doc, "floor_eligible", Value::as_bool)?;
+    if eligible != (cores >= MIN_CORES) {
+        return Err(format!(
+            "floor_eligible {eligible} disagrees with {cores} cores"
+        ));
+    }
+    let stages = at(doc, "stages", Value::as_array)?;
+    let speedups = stages
+        .iter()
+        .filter_map(|s| s.get("speedup").and_then(Value::as_f64));
+    let fast = speedups.filter(|&x| x >= MIN_SPEEDUP).count();
+    if eligible && fast < MIN_STAGES {
+        return Err(format!(
+            "{fast} stage(s) at >= {MIN_SPEEDUP}x, need {MIN_STAGES}"
+        ));
+    }
+    Ok(())
+}
+
+/// The `latency_paths` row of a BENCH_parallel record.
+fn latency_row(doc: &Value) -> Res<&Value> {
+    let stages = at(doc, "stages", Value::as_array)?;
+    let row = stages
+        .iter()
+        .find(|s| s.get("stage") == Some(&json!("latency_paths")));
+    row.ok_or_else(|| "no latency_paths stage".into())
 }
 
 /// BENCH_scenario floors: a serial 10 k-draw ensemble under 5 s, and a
@@ -644,6 +800,93 @@ mod tests {
         let msg = err(check_canonical(&leaked));
         assert!(msg.contains("\"timing\" survived"), "{msg:?}");
         assert_eq!(check_canonical(&canonicalize_stats(&leaked)), Ok(()));
+    }
+
+    /// A BENCH_parallel record on a `cores`-core host whose four stages
+    /// reach `speedups`, `latency_paths` (the last) at `serial_ms`.
+    fn parallel_record(cores: u64, serial_ms: f64, speedups: [f64; 4]) -> Value {
+        let queries = PATH_QUERY_FIELDS
+            .split_whitespace()
+            .map(|f| (f.to_string(), json!(0.4)));
+        let names = ["pipeline", "overlay", "risk_hamming", "latency_paths"];
+        let stages = names.into_iter().zip(speedups).map(|(name, speedup)| {
+            json!({"stage": name, "serial_ms": serial_ms, "speedup": speedup,
+                   "path_query_us": (Value::Object(queries.clone().collect()))})
+        });
+        json!({"threads": 2, "cores": cores, "floor_eligible": (cores >= MIN_CORES),
+               "stages": (Value::Array(stages.collect()))})
+    }
+
+    /// Judges a 1-core record with `latency_paths` at `ratio` times the
+    /// committed 12.98 ms.
+    fn against_baseline(ratio: f64) -> Res {
+        let committed = parallel_record(1, 12.98, [1.0; 4]);
+        parallel_floors(
+            &parallel_record(1, 12.98 * ratio, [1.0; 4]),
+            Some(&committed),
+        )
+    }
+
+    #[test]
+    fn a_run_19_percent_over_the_baseline_passes() {
+        assert_eq!(against_baseline(1.19), Ok(()));
+    }
+
+    #[test]
+    fn a_run_21_percent_over_the_baseline_fails() {
+        let msg = err(against_baseline(1.21));
+        assert!(
+            msg.contains("more than 20% over the committed 12.98 ms"),
+            "{msg:?}"
+        );
+    }
+
+    #[test]
+    fn a_record_missing_csr_alt_warm_fails() {
+        let text = serde_json::to_string(&parallel_record(1, 12.0, [1.0; 4])).unwrap_or_default();
+        let record = parse(&text.replace("csr_alt_warm", "csr_alt_lukewarm")).unwrap_or_default();
+        let msg = err(parallel_floors(&record, None));
+        assert!(
+            msg.contains("path_query_us.csr_alt_warm missing"),
+            "{msg:?}"
+        );
+    }
+
+    #[test]
+    fn an_ineligible_host_with_no_fast_stage_passes() {
+        assert_eq!(
+            parallel_floors(&parallel_record(1, 12.0, [0.9; 4]), None),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn an_eligible_host_with_one_fast_stage_fails() {
+        let msg = err(parallel_floors(
+            &parallel_record(4, 12.0, [2.5, 1.0, 1.0, 1.0]),
+            None,
+        ));
+        assert!(msg.contains("1 stage(s) at >= 2x, need 2"), "{msg:?}");
+        let two_fast = parallel_record(4, 12.0, [2.5, 2.0, 1.0, 1.0]);
+        assert_eq!(parallel_floors(&two_fast, None), Ok(()));
+    }
+
+    #[test]
+    fn floor_eligibility_must_match_the_recorded_cores() {
+        let text = serde_json::to_string(&parallel_record(4, 12.0, [1.0; 4])).unwrap_or_default();
+        let text = text.replace("\"floor_eligible\":true", "\"floor_eligible\":false");
+        let msg = err(parallel_floors(&parse(&text).unwrap_or_default(), None));
+        assert!(msg.contains("disagrees with 4 cores"), "{msg:?}");
+    }
+
+    #[test]
+    fn manifests_must_opt_into_the_workspace_lints() {
+        let opted = "[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n";
+        assert!(opts_into_workspace_lints(opted));
+        assert!(!opts_into_workspace_lints("[package]\nname = \"x\"\n"));
+        assert!(!opts_into_workspace_lints(
+            "[lints]\n\n[lints.clippy]\nworkspace = true\n"
+        ));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use intertubes::serve::{
     fnv1a64, section_bounds, SnapshotError, StudySnapshot, SNAPSHOT_MAGIC, SNAPSHOT_SCHEMA,
-    SNAPSHOT_SCHEMA_V2,
 };
 use intertubes::{IntertubesError, Study, StudyConfig};
 
@@ -82,26 +81,24 @@ fn analysis_reports_serialize() {
     assert_eq!(lat2.pairs.len(), lat.pairs.len());
 }
 
-/// A header-only container with the given schema over an empty-object
-/// payload. Enough structure to reach (exactly) the validation stage a
-/// test wants to probe.
-fn container_with_schema(schema: &str) -> Vec<u8> {
-    let payload = b"{}";
-    let checksum = intertubes::serve::fnv1a64(payload);
+/// A landmark-less container with the given schema, a valid header and
+/// a valid checksum over `payload` — enough structure to reach (exactly)
+/// the validation stage a test wants to probe.
+fn container(schema: &str, payload: &str) -> Vec<u8> {
     let header = format!(
-        "{{\"schema\":\"{schema}\",\"payload_len\":{},\"checksum\":\"{checksum:016x}\"}}",
-        payload.len()
+        "{{\"schema\":\"{schema}\",\"payload_len\":{},\"checksum\":\"{:016x}\"}}",
+        payload.len(),
+        fnv1a64(payload.as_bytes())
     );
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(intertubes::serve::SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&(header.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(header.as_bytes());
-    bytes.extend_from_slice(payload);
-    bytes
+    let mut out = SNAPSHOT_MAGIC.to_vec();
+    out.extend_from_slice(&(header.len() as u64).to_le_bytes());
+    out.extend_from_slice(header.as_bytes());
+    out.extend_from_slice(payload.as_bytes());
+    out
 }
 
 /// A two-node, one-conduit snapshot with landmark tables — cheap enough
-/// for the container tests to build real v2 bytes without running the full
+/// for the container tests to build real container bytes without running the full
 /// pipeline.
 fn tiny_snapshot() -> StudySnapshot {
     use intertubes::geo::{GeoPoint, Polyline};
@@ -185,26 +182,30 @@ fn v2_container_names_the_schema_and_round_trips_landmarks() {
     let snap = tiny_snapshot();
     let bytes = snap.to_bytes().unwrap();
     let header = header_text(&bytes);
-    assert!(header.contains(SNAPSHOT_SCHEMA_V2), "header was {header}");
+    assert!(header.contains(SNAPSHOT_SCHEMA), "header was {header}");
     assert!(header.contains("landmarks_checksum"), "header was {header}");
     let back = StudySnapshot::from_bytes(&bytes).unwrap();
     assert_eq!(back.landmarks, snap.landmarks);
     assert_eq!(back.to_bytes().unwrap(), bytes);
+    // Without tables the header drops the landmarks fields, not the schema.
+    let mut snap = snap;
+    snap.landmarks = None;
+    let bare = snap.to_bytes().unwrap();
+    let header = header_text(&bare);
+    assert!(header.contains(SNAPSHOT_SCHEMA), "{header}");
+    assert!(!header.contains("landmarks"), "{header}");
+    let back = StudySnapshot::from_bytes(&bare).unwrap();
+    assert!(back.landmarks.is_none());
+    assert_eq!(back.to_bytes().unwrap(), bare);
 }
 
 #[test]
-fn v1_containers_load_without_landmarks() {
-    // A snapshot without landmark tables is exactly what a pre-v2 writer
-    // produced: the same payload bytes under the v1 schema.
-    let mut snap = tiny_snapshot();
-    snap.landmarks = None;
-    let bytes = snap.to_bytes().unwrap();
-    assert!(header_text(&bytes).contains(SNAPSHOT_SCHEMA));
-    let back = StudySnapshot::from_bytes(&bytes).unwrap();
-    assert!(back.landmarks.is_none());
-    assert_eq!(back.map.conduits.len(), snap.map.conduits.len());
-    // Re-saving a v1 load stays v1, byte for byte.
-    assert_eq!(back.to_bytes().unwrap(), bytes);
+fn v1_headers_are_rejected_as_a_wrong_schema() {
+    let bytes = container("intertubes-snapshot/v1", "{}");
+    match StudySnapshot::from_bytes(&bytes).unwrap_err() {
+        SnapshotError::WrongSchema { found } => assert_eq!(found, "intertubes-snapshot/v1"),
+        other => panic!("expected WrongSchema, got {other}"),
+    }
 }
 
 #[test]
@@ -235,7 +236,7 @@ fn truncated_landmarks_section_reports_missing_bytes() {
 
 #[test]
 fn corrupted_payload_is_a_checksum_mismatch_not_a_panic() {
-    let bytes = container_with_schema(SNAPSHOT_SCHEMA);
+    let bytes = container(SNAPSHOT_SCHEMA, "{}");
     let mut corrupt = bytes.clone();
     let last = corrupt.len() - 1;
     corrupt[last] ^= 0x20; // flip one payload bit
@@ -245,7 +246,7 @@ fn corrupted_payload_is_a_checksum_mismatch_not_a_panic() {
 
 #[test]
 fn corrupted_header_is_a_bad_header_error() {
-    let mut bytes = container_with_schema(SNAPSHOT_SCHEMA);
+    let mut bytes = container(SNAPSHOT_SCHEMA, "{}");
     bytes[17] = b'!'; // mangle the header JSON just past the opening brace
     let err = StudySnapshot::from_bytes(&bytes).unwrap_err();
     assert!(matches!(err, SnapshotError::BadHeader(_)), "{err}");
@@ -253,7 +254,7 @@ fn corrupted_header_is_a_bad_header_error() {
 
 #[test]
 fn wrong_schema_version_is_rejected_by_name() {
-    let bytes = container_with_schema("intertubes-snapshot/v9");
+    let bytes = container("intertubes-snapshot/v9", "{}");
     match StudySnapshot::from_bytes(&bytes).unwrap_err() {
         SnapshotError::WrongSchema { found } => {
             assert_eq!(found, "intertubes-snapshot/v9");
@@ -262,7 +263,7 @@ fn wrong_schema_version_is_rejected_by_name() {
     }
 }
 
-/// Truncation at *every* structural boundary of a v2 container — inside
+/// Truncation at *every* structural boundary of a container — inside
 /// the magic/length prefix, at the header end, mid-payload, at the
 /// payload end (landmarks missing entirely), mid-landmarks, and one byte
 /// short — is always the typed `Truncated` error, never a panic.
@@ -272,7 +273,7 @@ fn truncation_at_every_section_boundary_is_typed_never_a_panic() {
     let bounds = section_bounds(&bytes).expect("a fresh container must locate its sections");
     let (_, header_end) = bounds.header;
     let (payload_start, payload_end) = bounds.payload;
-    let (lm_start, lm_end) = bounds.landmarks.expect("tiny_snapshot is v2");
+    let (lm_start, lm_end) = bounds.landmarks.expect("tiny_snapshot carries landmarks");
     assert_eq!(lm_end, bytes.len(), "landmarks are the container tail");
     let cuts = [
         0,
@@ -297,21 +298,6 @@ fn truncation_at_every_section_boundary_is_typed_never_a_panic() {
             Ok(_) => panic!("cut at {cut}: a truncated container must not load"),
         }
     }
-}
-
-/// Wraps `payload` in a v1 container with a valid header and checksum.
-fn v1_container(payload: &str) -> Vec<u8> {
-    let header = format!(
-        "{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"payload_len\":{},\"checksum\":\"{:016x}\"}}",
-        payload.len(),
-        fnv1a64(payload.as_bytes())
-    );
-    let mut out = Vec::new();
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    out.extend_from_slice(&(header.len() as u64).to_le_bytes());
-    out.extend_from_slice(header.as_bytes());
-    out.extend_from_slice(payload.as_bytes());
-    out
 }
 
 #[test]
@@ -342,12 +328,13 @@ fn member_wise_decode_matches_the_whole_tree_decode() {
         let tree = serde_json::from_str::<StudySnapshot>(text)
             .map_err(|e| SnapshotError::Payload(e.to_string()))
             .and_then(|s| s.to_bytes());
-        let member_wise = StudySnapshot::from_bytes(&v1_container(text)).and_then(|s| s.to_bytes());
+        let member_wise =
+            StudySnapshot::from_bytes(&container(SNAPSHOT_SCHEMA, text)).and_then(|s| s.to_bytes());
         assert_eq!(member_wise, tree, "variant {i}");
     }
     // Both paths share the section logic, so pin what a derived
     // `Deserialize` would report.
-    let decode = |i: usize| StudySnapshot::from_bytes(&v1_container(&variants[i]));
+    let decode = |i: usize| StudySnapshot::from_bytes(&container(SNAPSHOT_SCHEMA, &variants[i]));
     assert_eq!(decode(2).expect("a repeated key decodes").isps, ["X"]);
     let err = |i: usize| decode(i).map(|_| ()).expect_err("variant fails").to_string();
     assert!(err(4).ends_with("StudySnapshot: missing field `isps`"), "{}", err(4));
@@ -358,7 +345,7 @@ fn member_wise_decode_matches_the_whole_tree_decode() {
 
 #[test]
 fn truncated_container_reports_how_much_is_missing() {
-    let bytes = container_with_schema(SNAPSHOT_SCHEMA);
+    let bytes = container(SNAPSHOT_SCHEMA, "{}");
     let cut = &bytes[..bytes.len() - 1];
     match StudySnapshot::from_bytes(cut).unwrap_err() {
         SnapshotError::Truncated { needed, have } => {
@@ -392,8 +379,8 @@ fn cli_rejects_bad_snapshots_with_exit_3() {
     let bounds = section_bounds(&v2).unwrap();
     let cases = [
         ("notsnap.bin", b"this is not a snapshot".to_vec()),
-        ("wrong_schema.snap", container_with_schema("intertubes-snapshot/v9")),
-        ("truncated.snap", container_with_schema(SNAPSHOT_SCHEMA)[..12].to_vec()),
+        ("wrong_schema.snap", container("intertubes-snapshot/v9", "{}")),
+        ("truncated.snap", container(SNAPSHOT_SCHEMA, "{}")[..12].to_vec()),
         ("corrupt_landmarks.snap", v2_corrupt),
         ("truncated_landmarks.snap", v2[..v2.len() - 1].to_vec()),
         // Truncation at each structural boundary.
