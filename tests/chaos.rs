@@ -9,6 +9,7 @@
 //! flips, transient I/O) through [`save_with`] / [`load_with`] over a
 //! [`ChaosSession`] acting as the `SnapshotIo` layer.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
@@ -426,4 +427,122 @@ fn cli_serve_chaos_writes_report_and_manifest_health() {
     assert_eq!(out.status.code(), Some(3));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// Hex FNV-1a digest of a serialized output.
+fn digest(text: &str) -> String {
+    format!("{:016x}", intertubes::serve::fnv1a64(text.as_bytes()))
+}
+
+/// One golden chaos round: a crash-safe save and a resilient load of a
+/// scratch copy, then the 300-query replay, all through one session. The
+/// returned text is path-free (error messages name scratch paths, so only
+/// attempt counts and candidate labels are kept), and the report carries
+/// the load fields the way `serve --chaos` fills them in.
+fn golden_round(name: &str, plan: &FaultPlan, policy: DegradationPolicy) -> (String, String) {
+    let path = scratch(&format!("golden-{name}-{policy:?}.snap"));
+    for ext in ["tmp", "bak"] {
+        let _ = std::fs::remove_file(path.with_extension(format!("snap.{ext}")));
+    }
+    snapshot().save(&path).unwrap();
+    let session = ChaosSession::new(plan.clone(), policy);
+    let retry = session.retry_policy();
+    let save = match save_with(&session, snapshot(), &path, &retry) {
+        Ok(r) => format!("save ok {} {}", r.attempts, r.backoff_us),
+        Err(intertubes::serve::ServeError::Exhausted { attempts, tried, .. }) => {
+            format!("save exhausted {attempts} {tried:?}")
+        }
+        Err(e) => format!("save failed {:?}", e.class()),
+    };
+    let loaded = load_with(&session, &path, &retry);
+    let (snap, load) = match loaded {
+        Ok(r) => {
+            let info = (r.source, r.attempts, r.backoff_us);
+            (r.snapshot, Some(info))
+        }
+        Err(_) => (snapshot().clone(), None),
+    };
+    let eng = QueryEngine::new(snap);
+    let queries = mixed_workload(snapshot(), REPLAY, SEED);
+    let cfg = serve_cfg();
+    let cache = ResultCache::new(cfg.cache);
+    let (responses, _, mut report) = run_batch_chaos(&eng, &queries, &cfg, &cache, &session);
+    if let Some((source, attempts, backoff)) = load {
+        report.load_attempts = attempts;
+        report.load_backoff_us = backoff;
+        report.salvaged_from = (source != "primary").then(|| source.to_string());
+    }
+    (
+        format!("{save}\n{}", report.to_canonical_json()),
+        responses.join("\n"),
+    )
+}
+
+/// The wire decisions of one chaos scenario over conn 0..16 × frame
+/// 0..64, in (conn, frame) order: the fault label, or `-`.
+fn transport_decisions(plan: &FaultPlan) -> String {
+    let chaos = intertubes::net::TransportChaos::from_plan(plan);
+    let mut out = String::new();
+    for conn in 0..16u64 {
+        for frame in 0..64u64 {
+            let fault = chaos.and_then(|c| c.decide(conn, frame));
+            out.push_str(fault.map_or("-", |f| f.label()));
+            out.push(if frame == 63 { '\n' } else { ' ' });
+        }
+    }
+    out
+}
+
+/// Every chaos artifact pinned by digest: for each built-in chaos
+/// scenario × policy, the chaos report and responses of a save + load +
+/// replay round, and for the two scenarios that carry wire families, the
+/// transport fault decisions. A change to how faults are drawn or
+/// recorded must leave every digest alone. After an *intentional*
+/// behaviour change, regenerate with:
+///
+/// ```text
+/// REGENERATE_GOLDENS=1 cargo test --test chaos golden
+/// ```
+#[test]
+fn chaos_reports_match_golden_digests() {
+    let _guard = battery_lock();
+    let mut reports: BTreeMap<String, BTreeMap<&str, String>> = BTreeMap::new();
+    for (name, plan) in FaultPlan::built_in_chaos_scenarios() {
+        for policy in [DegradationPolicy::Strict, DegradationPolicy::Lenient] {
+            let (report, responses) = golden_round(name, &plan, policy);
+            let key = format!("{name}/{}", if policy.is_strict() { "strict" } else { "lenient" });
+            let digests = BTreeMap::from([
+                ("report", digest(&report)),
+                ("responses", digest(&responses)),
+            ]);
+            reports.insert(key, digests);
+        }
+    }
+    let mut transport: BTreeMap<&str, String> = BTreeMap::new();
+    for (name, plan) in FaultPlan::built_in_chaos_scenarios() {
+        if name == "torn-frame" || name == "chaos-everything" {
+            transport.insert(name, digest(&transport_decisions(&plan)));
+        }
+    }
+    let computed = serde_json::to_string_pretty(&serde_json::json!({
+        "reports": reports,
+        "transport": transport,
+    }))
+    .expect("digests serialize");
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/goldens/chaos_reports.json");
+    if std::env::var_os("REGENERATE_GOLDENS").is_some() {
+        std::fs::write(path, format!("{computed}\n")).expect("golden file writable");
+        println!("regenerated {path}");
+        return;
+    }
+    let stored = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!("missing golden digests {path} ({e}); run REGENERATE_GOLDENS=1 cargo test")
+    });
+    assert_eq!(
+        stored.trim_end(),
+        computed,
+        "chaos artifacts drifted from {path}; if the change is intentional, \
+         regenerate with REGENERATE_GOLDENS=1 cargo test --test chaos golden"
+    );
 }
