@@ -3,7 +3,7 @@
 use intertubes_atlas::{PublishedMap, World, WorldConfig, MAPPED_ISPS};
 use intertubes_degrade::{DegradationPolicy, DegradationReport};
 use intertubes_faults::{
-    inject_corpus, inject_published_maps, inject_transport, FaultPlan, InjectionLedger,
+    inject_corpus, inject_published_maps, inject_transport, FaultPlan, InjectionLedger, Injector,
 };
 use intertubes_geo::OverlapParams;
 use intertubes_map::{build_map_checked, BuiltMap, ColocationReport, PipelineConfig};
@@ -103,15 +103,12 @@ impl Study {
         let mut world = World::generate(config.world);
         let corpus = generate_corpus(&world, &config.corpus);
         let mut published = world.publish_maps();
-        let mut ledger = InjectionLedger::new();
-        inject_published_maps(&mut published, plan, &mut ledger);
-        let corpus = inject_corpus(&corpus, plan, &mut ledger);
-        inject_transport(&mut world.roads, plan, &mut ledger);
-        // Emitted once, serially, after all injectors ran: the ledger is
-        // family-sorted, so the event sequence is canonical.
-        ledger.emit_events();
+        let mut injector = Injector::new(plan.clone());
+        inject_published_maps(&mut published, &mut injector);
+        let corpus = inject_corpus(&corpus, &mut injector);
+        inject_transport(&mut world.roads, &mut injector);
         let (study, report) = Study::from_parts(config, world, corpus, published)?;
-        Ok((study, report, ledger))
+        Ok((study, report, injector.ledger))
     }
 
     fn from_parts(

@@ -16,24 +16,29 @@
 //!   disconnection ([`inject_transport`]).
 //!
 //! Faults are described by a [`FaultPlan`] — a small serde-JSON DSL
-//! composing [`FaultSpec`]s — and every injector records exactly what it
-//! did in an [`InjectionLedger`], so integration tests can assert that the
-//! pipeline's `DegradationReport` accounts for every injected fault.
+//! composing [`FaultSpec`]s. The plan DSL also carries the runtime
+//! families: torn snapshot writes, section bit-flips, transient I/O
+//! errors, slow reads, cache-shard poisoning and overload bursts, applied
+//! by `intertubes-serve`'s `ChaosSession` (its `SnapshotIo` implementation
+//! and scheduler hooks), and torn frames, slow-loris writes and
+//! mid-stream disconnects, applied by `intertubes-net`'s server.
 //!
-//! Everything is a pure function of `(input, plan)`: each fault family
-//! derives its RNG stream from the plan seed and a per-family constant, so
-//! adding one family to a plan never re-randomizes another.
+//! Every surface draws the same way and records in one place:
 //!
-//! Beyond the input stages, the plan DSL also carries a **runtime fault
-//! group** (torn snapshot writes, section bit-flips, transient I/O errors,
-//! slow reads, cache-shard poisoning, overload bursts) consumed by the
-//! serving layer's `ChaosIo` wrapper and scheduler hooks — see
-//! `intertubes-serve::chaos` — plus three **transport** families (torn
-//! frames, slow-loris partial writes, mid-stream disconnects) consumed by
-//! the remote front-end's wire chaos layer (`intertubes-net`). The
-//! injectors in this crate never apply runtime families; they are listed
-//! in [`FaultFamily::RUNTIME`] and share the same seeded-stream
-//! discipline.
+//! * an [`Injector`] binds a plan to one seeded stream per family;
+//!   [`Injector::fires`] is the rate-gated draw of surfaces that decide
+//!   in one serial order (the input injectors here, the serving layer's
+//!   chaos session), so adding one family to a plan never re-randomizes
+//!   another;
+//! * [`FaultPlan::fires_at`] is the keyed draw of a surface whose
+//!   decisions are not serial (the wire, keyed by connection and frame);
+//! * [`InjectionLedger::record`] counts every injection, emits one `Warn`
+//!   event on target `faults` and bumps the `faults.injected` counter, so
+//!   integration tests can assert that a `DegradationReport` or chaos
+//!   report accounts for every injected fault.
+//!
+//! Everything is a pure function of `(input, plan)`; a clean run is a run
+//! under the empty plan, whose zero-rate families draw nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +49,7 @@ use intertubes_graph::MultiGraph;
 use intertubes_probes::Campaign;
 use intertubes_records::{Corpus, Document, RowHint};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Marker prepended to city labels by [`FaultFamily::CorruptDocuments`].
@@ -97,7 +102,7 @@ pub enum FaultFamily {
     OverloadBurst,
     /// Runtime (transport): a response frame is torn mid-write — the
     /// connection closes after a prefix of the frame's bytes are sent.
-    /// Consumed by `intertubes-net`'s transport chaos layer.
+    /// Applied by `intertubes-net`'s server as a keyed draw.
     TornFrame,
     /// Runtime (transport): a response is dribbled out in tiny partial
     /// writes across poll ticks (slow-loris). Timing-only — frame bytes
@@ -132,40 +137,6 @@ impl FaultFamily {
         FaultFamily::SlowLoris,
         FaultFamily::Disconnect,
     ];
-
-    /// The input-stage families applied by this crate's injectors.
-    pub const INPUT: [FaultFamily; 11] = [
-        FaultFamily::NanCoordinates,
-        FaultFamily::OutOfRangeCoordinates,
-        FaultFamily::DropLinks,
-        FaultFamily::DuplicateLinks,
-        FaultFamily::StripGeometry,
-        FaultFamily::CorruptDocuments,
-        FaultFamily::ContradictoryDocuments,
-        FaultFamily::TruncateTraces,
-        FaultFamily::MisgeolocateHops,
-        FaultFamily::CorruptTraceEndpoints,
-        FaultFamily::DisconnectTransport,
-    ];
-
-    /// The runtime families consumed by the serving layer's chaos hooks
-    /// and (for the last three) the remote transport's chaos layer.
-    pub const RUNTIME: [FaultFamily; 9] = [
-        FaultFamily::TornSnapshotWrite,
-        FaultFamily::SnapshotBitFlip,
-        FaultFamily::TransientIo,
-        FaultFamily::SlowRead,
-        FaultFamily::CachePoison,
-        FaultFamily::OverloadBurst,
-        FaultFamily::TornFrame,
-        FaultFamily::SlowLoris,
-        FaultFamily::Disconnect,
-    ];
-
-    /// Whether this family belongs to the runtime (serving-layer) group.
-    pub fn is_runtime(self) -> bool {
-        FaultFamily::RUNTIME.contains(&self)
-    }
 
     /// Stable label used in ledger rendering and test diagnostics.
     pub fn label(self) -> &'static str {
@@ -214,9 +185,9 @@ impl FaultFamily {
             FaultFamily::SlowRead => 0xFF,
             FaultFamily::CachePoison => 0x1A,
             FaultFamily::OverloadBurst => 0x2B,
-            FaultFamily::TornFrame => 0x3C,
-            FaultFamily::SlowLoris => 0x4D,
-            FaultFamily::Disconnect => 0x5E,
+            FaultFamily::TornFrame => 0x702A,
+            FaultFamily::SlowLoris => 0x5105,
+            FaultFamily::Disconnect => 0x0D15,
         }
     }
 }
@@ -360,12 +331,6 @@ impl FaultPlan {
         sum.clamp(0.0, 1.0)
     }
 
-    /// Whether any runtime family has a positive rate (i.e. the serving
-    /// layer's chaos hooks have work to do).
-    pub fn has_runtime_faults(&self) -> bool {
-        FaultFamily::RUNTIME.iter().any(|&f| self.rate(f) > 0.0)
-    }
-
     /// The snapshot section targeted by the first matching spec of
     /// `family` that names one (`None` when no spec does).
     pub fn section_for(&self, family: FaultFamily) -> Option<SnapshotSection> {
@@ -375,16 +340,26 @@ impl FaultPlan {
             .find_map(|f| f.section)
     }
 
-    /// Seeded RNG for one family's stream.
-    fn rng(&self, family: FaultFamily) -> StdRng {
-        StdRng::seed_from_u64(self.seed ^ family.stream().wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    /// The seed of one family's stream.
+    fn stream_seed(&self, family: FaultFamily) -> u64 {
+        self.seed ^ family.stream().wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    /// Public access to a family's seeded stream, for runtime consumers
-    /// (the serving layer's `ChaosIo` draws from these so chaos decisions
-    /// stay independent of input-stage injection and of each other).
-    pub fn stream_rng(&self, family: FaultFamily) -> StdRng {
-        self.rng(family)
+    /// A keyed draw: whether `family` fires at (`site`, `ordinal`), for
+    /// surfaces whose decisions are not made in one serial order (the
+    /// wire, keyed by connection and frame). Each key seeds its own
+    /// one-draw stream, so no other decision can shift it; a zero-rate
+    /// family draws nothing.
+    pub fn fires_at(&self, family: FaultFamily, site: u64, ordinal: u64) -> bool {
+        let rate = self.rate(family);
+        if rate <= 0.0 {
+            return false;
+        }
+        let mix = |x: u64| StdRng::seed_from_u64(x).next_u64();
+        let key = self.stream_seed(family)
+            ^ mix(site.wrapping_add(1))
+            ^ mix(ordinal.wrapping_add(0x5151_5151));
+        StdRng::seed_from_u64(key).gen_bool(rate)
     }
 
     /// Validates every spec's rate: rejects non-finite (`NaN`, `inf`) and
@@ -497,7 +472,7 @@ impl FaultPlan {
     }
 
     /// Named built-in **runtime** chaos scenarios, consumed by the serving
-    /// layer (`serve --chaos <name>`), the remote transport's chaos layer
+    /// layer (`serve --chaos <name>`), the remote front-end
     /// (`serve --listen --chaos <name>`), the `chaos` and `remote` arms of
     /// the gate runner (`src/bin/gates.rs`), and the chaos battery in
     /// `tests/chaos.rs`.
@@ -575,8 +550,29 @@ impl InjectionLedger {
         Self::default()
     }
 
-    /// Records `n` items perturbed by `family` (no-op when `n == 0`).
-    pub fn add(&mut self, family: FaultFamily, n: usize) {
+    /// Records `n` items perturbed by `family`, with one `Warn` event on
+    /// target `faults` and the `faults.injected` counter (no-op when
+    /// `n == 0`; the obs half is a no-op outside an `intertubes-obs`
+    /// session). Every injector at every surface records through here.
+    pub fn record(&mut self, family: FaultFamily, n: usize, detail: &str) {
+        use intertubes_obs::{FieldValue, Level};
+        if n == 0 {
+            return;
+        }
+        self.add(family, n);
+        intertubes_obs::counter("faults.injected", n as u64);
+        intertubes_obs::event(
+            Level::Warn,
+            "faults",
+            &format!("injected {} x{n}: {detail}", family.label()),
+            &[
+                ("family", FieldValue::Str(family.label().to_string())),
+                ("count", FieldValue::U64(n as u64)),
+            ],
+        );
+    }
+
+    fn add(&mut self, family: FaultFamily, n: usize) {
         if n == 0 {
             return;
         }
@@ -610,30 +606,6 @@ impl InjectionLedger {
         }
     }
 
-    /// Emits one structured observability event per injected fault family,
-    /// plus a `faults.injected` counter with the grand total (no-op outside
-    /// an `intertubes-obs` session).
-    ///
-    /// Call once from serial code after all injectors have run — the ledger
-    /// is kept sorted by family, so the emitted sequence is canonical.
-    pub fn emit_events(&self) {
-        use intertubes_obs::{FieldValue, Level};
-        let mut total = 0u64;
-        for &(family, n) in &self.counts {
-            total += n as u64;
-            intertubes_obs::event(
-                Level::Warn,
-                "faults",
-                &format!("injected {} x{}", family.label(), n),
-                &[
-                    ("family", FieldValue::Str(family.label().to_string())),
-                    ("count", FieldValue::U64(n as u64)),
-                ],
-            );
-        }
-        intertubes_obs::counter("faults.injected", total);
-    }
-
     /// One-line-per-family rendering for test diagnostics.
     pub fn render(&self) -> String {
         if self.counts.is_empty() {
@@ -647,64 +619,79 @@ impl InjectionLedger {
     }
 }
 
+/// A plan bound to one sequential draw stream per family, plus the
+/// ledger its injections are recorded in. Each family's stream is seeded
+/// from the plan seed and a per-family constant, so adding one family to
+/// a plan never re-randomizes another.
+#[derive(Debug, Clone)]
+pub struct Injector {
+    plan: FaultPlan,
+    /// `(rate, stream)` per family, in [`FaultFamily::ALL`] order.
+    streams: [(f64, StdRng); FaultFamily::ALL.len()],
+    /// Every injection made through this injector.
+    pub ledger: InjectionLedger,
+}
+
+impl Injector {
+    /// Binds `plan`, resolving every family's rate once.
+    pub fn new(plan: FaultPlan) -> Injector {
+        let streams = FaultFamily::ALL
+            .map(|f| (plan.rate(f), StdRng::seed_from_u64(plan.stream_seed(f))));
+        Injector {
+            plan,
+            streams,
+            ledger: InjectionLedger::new(),
+        }
+    }
+
+    /// The plan being injected.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
+    /// Whether `family` fires at its next item: a rate-gated draw from
+    /// the family's stream. A zero-rate family draws nothing.
+    pub fn fires(&mut self, family: FaultFamily) -> bool {
+        let (rate, rng) = &mut self.streams[family as usize];
+        *rate > 0.0 && rng.gen_bool(*rate)
+    }
+
+    /// The family's stream, for the follow-up draws of a fault that fired
+    /// (which vertex, which byte, how much to keep).
+    pub fn rng(&mut self, family: FaultFamily) -> &mut StdRng {
+        &mut self.streams[family as usize].1
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Published-map injectors
 // ---------------------------------------------------------------------------
 
-/// The family's effective rate, or `None` when the family is a no-op for
-/// this plan. A rate of exactly `0.0` is a *legal* spec (a disabled
-/// family, pinned by `zero_rate_specs_are_no_ops`) and must inject
-/// nothing; the debug assertion pins the complementary invariant that a
-/// rate surviving this gate is a usable Bernoulli parameter.
-fn active_rate(plan: &FaultPlan, family: FaultFamily) -> Option<f64> {
-    let rate = plan.rate(family);
-    if rate <= 0.0 {
-        return None;
-    }
-    debug_assert!(
-        rate > 0.0 && rate <= 1.0,
-        "injector rate for {family:?} escaped the [0, 1] clamp: {rate}"
-    );
-    Some(rate)
-}
-
-/// Perturbs published ISP maps in place according to `plan`.
+/// Perturbs published ISP maps in place.
 ///
-/// Families applied (each from its own RNG stream, in a fixed order so the
+/// Families applied (each from its own stream, in a fixed order so the
 /// result is deterministic): [`FaultFamily::NanCoordinates`],
 /// [`FaultFamily::OutOfRangeCoordinates`], [`FaultFamily::StripGeometry`],
 /// [`FaultFamily::DuplicateLinks`], [`FaultFamily::DropLinks`].
-pub fn inject_published_maps(
-    maps: &mut Vec<PublishedMap>,
-    plan: &FaultPlan,
-    ledger: &mut InjectionLedger,
-) {
-    poison_coordinates(maps, plan, ledger, FaultFamily::NanCoordinates);
-    poison_coordinates(maps, plan, ledger, FaultFamily::OutOfRangeCoordinates);
-    strip_geometry(maps, plan, ledger);
-    duplicate_links(maps, plan, ledger);
-    drop_links(maps, plan, ledger);
+pub fn inject_published_maps(maps: &mut [PublishedMap], inj: &mut Injector) {
+    poison_coordinates(maps, inj, FaultFamily::NanCoordinates);
+    poison_coordinates(maps, inj, FaultFamily::OutOfRangeCoordinates);
+    strip_geometry(maps, inj);
+    duplicate_links(maps, inj);
+    drop_links(maps, inj);
 }
 
 /// Rewrites one vertex of selected link geometries to an invalid
 /// coordinate (NaN or out-of-range, depending on `family`).
-fn poison_coordinates(
-    maps: &mut [PublishedMap],
-    plan: &FaultPlan,
-    ledger: &mut InjectionLedger,
-    family: FaultFamily,
-) {
-    let Some(rate) = active_rate(plan, family) else {
-        return;
-    };
-    let mut rng = plan.rng(family);
+fn poison_coordinates(maps: &mut [PublishedMap], inj: &mut Injector, family: FaultFamily) {
     let mut touched = 0;
     for map in maps.iter_mut() {
         for link in &mut map.links {
             let Some(geom) = &link.geometry else { continue };
-            if !rng.gen_bool(rate) {
+            if !inj.fires(family) {
                 continue;
             }
+            let rng = inj.rng(family);
             let mut pts = geom.points().to_vec();
             let idx = rng.gen_range(0..pts.len());
             pts[idx] = match family {
@@ -723,25 +710,21 @@ fn poison_coordinates(
             }
         }
     }
-    ledger.add(family, touched);
+    inj.ledger.record(family, touched, "link vertices poisoned");
 }
 
 /// Removes the geometry from selected links of geocoded maps.
-fn strip_geometry(maps: &mut [PublishedMap], plan: &FaultPlan, ledger: &mut InjectionLedger) {
-    let Some(rate) = active_rate(plan, FaultFamily::StripGeometry) else {
-        return;
-    };
-    let mut rng = plan.rng(FaultFamily::StripGeometry);
+fn strip_geometry(maps: &mut [PublishedMap], inj: &mut Injector) {
     let mut touched = 0;
     for map in maps.iter_mut() {
         for link in &mut map.links {
-            if link.geometry.is_some() && rng.gen_bool(rate) {
+            if link.geometry.is_some() && inj.fires(FaultFamily::StripGeometry) {
                 link.geometry = None;
                 touched += 1;
             }
         }
     }
-    ledger.add(FaultFamily::StripGeometry, touched);
+    inj.ledger.record(FaultFamily::StripGeometry, touched, "links stripped of geometry");
 }
 
 /// Inserts bitwise-identical copies of selected geocoded links.
@@ -751,69 +734,54 @@ fn strip_geometry(maps: &mut [PublishedMap], plan: &FaultPlan, ledger: &mut Inje
 /// makes natural bitwise collisions impossible), so the pipeline can
 /// repair these without ever touching legitimate multi-conduit
 /// publications in PoP-only maps.
-fn duplicate_links(maps: &mut [PublishedMap], plan: &FaultPlan, ledger: &mut InjectionLedger) {
-    let Some(rate) = active_rate(plan, FaultFamily::DuplicateLinks) else {
-        return;
-    };
-    let mut rng = plan.rng(FaultFamily::DuplicateLinks);
+fn duplicate_links(maps: &mut [PublishedMap], inj: &mut Injector) {
     let mut touched = 0;
     for map in maps.iter_mut() {
         let mut copies: Vec<PublishedLink> = Vec::new();
         for link in &map.links {
-            if link.geometry.is_some() && rng.gen_bool(rate) {
+            if link.geometry.is_some() && inj.fires(FaultFamily::DuplicateLinks) {
                 copies.push(link.clone());
             }
         }
         touched += copies.len();
         map.links.extend(copies);
     }
-    ledger.add(FaultFamily::DuplicateLinks, touched);
+    inj.ledger.record(FaultFamily::DuplicateLinks, touched, "links duplicated");
 }
 
 /// Deletes selected links outright (the map is silently incomplete).
-fn drop_links(maps: &mut [PublishedMap], plan: &FaultPlan, ledger: &mut InjectionLedger) {
-    let Some(rate) = active_rate(plan, FaultFamily::DropLinks) else {
-        return;
-    };
-    let mut rng = plan.rng(FaultFamily::DropLinks);
+fn drop_links(maps: &mut [PublishedMap], inj: &mut Injector) {
     let mut touched = 0;
     for map in maps.iter_mut() {
         map.links.retain(|_| {
-            if rng.gen_bool(rate) {
-                touched += 1;
-                false
-            } else {
-                true
-            }
+            let dropped = inj.fires(FaultFamily::DropLinks);
+            touched += usize::from(dropped);
+            !dropped
         });
     }
-    ledger.add(FaultFamily::DropLinks, touched);
+    inj.ledger.record(FaultFamily::DropLinks, touched, "links dropped");
 }
 
 // ---------------------------------------------------------------------------
 // Records-corpus injectors
 // ---------------------------------------------------------------------------
 
-/// Perturbs the public-records corpus according to `plan`, returning a
-/// freshly indexed corpus (the inverted index is rebuilt so searches see
-/// the perturbed text).
-pub fn inject_corpus(corpus: &Corpus, plan: &FaultPlan, ledger: &mut InjectionLedger) -> Corpus {
+/// Perturbs the public-records corpus, returning a freshly indexed
+/// corpus (the inverted index is rebuilt so searches see the perturbed
+/// text).
+pub fn inject_corpus(corpus: &Corpus, inj: &mut Injector) -> Corpus {
     let mut docs: Vec<Document> = corpus.docs().to_vec();
-    corrupt_documents(&mut docs, plan, ledger);
-    contradict_documents(&mut docs, plan, ledger);
+    corrupt_documents(&mut docs, inj);
+    contradict_documents(&mut docs, inj);
     Corpus::from_documents(docs)
 }
 
 /// Garbles the city labels (and body text) of selected documents so that
 /// no city resolves; the document becomes noise a sanitizer must detect.
-fn corrupt_documents(docs: &mut [Document], plan: &FaultPlan, ledger: &mut InjectionLedger) {
-    let Some(rate) = active_rate(plan, FaultFamily::CorruptDocuments) else {
-        return;
-    };
-    let mut rng = plan.rng(FaultFamily::CorruptDocuments);
+fn corrupt_documents(docs: &mut [Document], inj: &mut Injector) {
     let mut touched = 0;
     for doc in docs.iter_mut() {
-        if doc.cities.is_empty() || !rng.gen_bool(rate) {
+        if doc.cities.is_empty() || !inj.fires(FaultFamily::CorruptDocuments) {
             continue;
         }
         for city in &mut doc.cities {
@@ -830,17 +798,13 @@ fn corrupt_documents(docs: &mut [Document], plan: &FaultPlan, ledger: &mut Injec
         doc.body = format!("{CORRUPT_MARKER} {}", doc.body);
         touched += 1;
     }
-    ledger.add(FaultFamily::CorruptDocuments, touched);
+    inj.ledger.record(FaultFamily::CorruptDocuments, touched, "documents garbled");
 }
 
 /// Appends documents that contradict an existing right-of-way hint: the
 /// new document names the same city pair but claims a different
 /// right-of-way type.
-fn contradict_documents(docs: &mut Vec<Document>, plan: &FaultPlan, ledger: &mut InjectionLedger) {
-    let Some(rate) = active_rate(plan, FaultFamily::ContradictoryDocuments) else {
-        return;
-    };
-    let mut rng = plan.rng(FaultFamily::ContradictoryDocuments);
+fn contradict_documents(docs: &mut Vec<Document>, inj: &mut Injector) {
     let mut added: Vec<Document> = Vec::new();
     let mut next_id = docs.iter().map(|d| d.id.0).max().map_or(0, |m| m + 1);
     for doc in docs.iter() {
@@ -850,7 +814,7 @@ fn contradict_documents(docs: &mut Vec<Document>, plan: &FaultPlan, ledger: &mut
         // per-family ledger counts ambiguous.
         if doc.cities.len() < 2
             || doc.cities.iter().any(|c| c.starts_with(CORRUPT_MARKER))
-            || !rng.gen_bool(rate)
+            || !inj.fires(FaultFamily::ContradictoryDocuments)
         {
             continue;
         }
@@ -870,7 +834,8 @@ fn contradict_documents(docs: &mut Vec<Document>, plan: &FaultPlan, ledger: &mut
         );
         added.push(forged);
     }
-    ledger.add(FaultFamily::ContradictoryDocuments, added.len());
+    let family = FaultFamily::ContradictoryDocuments;
+    inj.ledger.record(family, added.len(), "contradicting documents added");
     docs.extend(added);
 }
 
@@ -878,64 +843,48 @@ fn contradict_documents(docs: &mut Vec<Document>, plan: &FaultPlan, ledger: &mut
 // Traceroute-campaign injectors
 // ---------------------------------------------------------------------------
 
-/// Perturbs a traceroute campaign in place according to `plan`.
+/// Perturbs a traceroute campaign in place.
 ///
 /// `city_count` is the size of the world's city table; it bounds valid
 /// [`CityId`]s for mis-geolocation and defines "out of range" for endpoint
 /// corruption.
-pub fn inject_campaign(
-    campaign: &mut Campaign,
-    city_count: usize,
-    plan: &FaultPlan,
-    ledger: &mut InjectionLedger,
-) {
-    truncate_traces(campaign, plan, ledger);
-    misgeolocate_hops(campaign, city_count, plan, ledger);
-    corrupt_trace_endpoints(campaign, city_count, plan, ledger);
+pub fn inject_campaign(campaign: &mut Campaign, city_count: usize, inj: &mut Injector) {
+    truncate_traces(campaign, inj);
+    misgeolocate_hops(campaign, city_count, inj);
+    corrupt_trace_endpoints(campaign, city_count, inj);
 }
 
 /// Drops the tail of selected traces, as if the probe timed out mid-path.
 /// Traces may end up with zero hops; the overlay must tolerate that.
-fn truncate_traces(campaign: &mut Campaign, plan: &FaultPlan, ledger: &mut InjectionLedger) {
-    let Some(rate) = active_rate(plan, FaultFamily::TruncateTraces) else {
-        return;
-    };
-    let mut rng = plan.rng(FaultFamily::TruncateTraces);
+fn truncate_traces(campaign: &mut Campaign, inj: &mut Injector) {
+    let family = FaultFamily::TruncateTraces;
     let mut touched = 0;
     for trace in &mut campaign.traces {
-        if trace.hops.is_empty() || !rng.gen_bool(rate) {
+        if trace.hops.is_empty() || !inj.fires(family) {
             continue;
         }
-        let keep = rng.gen_range(0..trace.hops.len());
+        let keep = inj.rng(family).gen_range(0..trace.hops.len());
         trace.hops.truncate(keep);
         touched += 1;
     }
-    ledger.add(FaultFamily::TruncateTraces, touched);
+    inj.ledger.record(family, touched, "traces truncated");
 }
 
 /// Re-geolocates selected hops to a random *valid but wrong* city: the
 /// hardest fault to detect, modeling bad IP-geolocation databases.
-fn misgeolocate_hops(
-    campaign: &mut Campaign,
-    city_count: usize,
-    plan: &FaultPlan,
-    ledger: &mut InjectionLedger,
-) {
-    let Some(rate) = active_rate(plan, FaultFamily::MisgeolocateHops) else {
-        return;
-    };
+fn misgeolocate_hops(campaign: &mut Campaign, city_count: usize, inj: &mut Injector) {
+    let family = FaultFamily::MisgeolocateHops;
     if city_count == 0 {
         return;
     }
-    let mut rng = plan.rng(FaultFamily::MisgeolocateHops);
     let mut touched = 0;
     for trace in &mut campaign.traces {
         for hop in &mut trace.hops {
             let Some(city) = hop.city else { continue };
-            if !rng.gen_bool(rate) {
+            if !inj.fires(family) {
                 continue;
             }
-            let mut wrong = CityId(rng.gen_range(0..city_count) as u32);
+            let mut wrong = CityId(inj.rng(family).gen_range(0..city_count) as u32);
             if wrong == city {
                 wrong = CityId((wrong.0 + 1) % city_count as u32);
             }
@@ -943,27 +892,20 @@ fn misgeolocate_hops(
             touched += 1;
         }
     }
-    ledger.add(FaultFamily::MisgeolocateHops, touched);
+    inj.ledger.record(family, touched, "hops mis-geolocated");
 }
 
 /// Sets the `src` or `dst` of selected traces to an out-of-range
 /// [`CityId`], modeling a corrupted geolocation feed. Naive array indexing
 /// on these panics; the hardened overlay must drop them instead.
-fn corrupt_trace_endpoints(
-    campaign: &mut Campaign,
-    city_count: usize,
-    plan: &FaultPlan,
-    ledger: &mut InjectionLedger,
-) {
-    let Some(rate) = active_rate(plan, FaultFamily::CorruptTraceEndpoints) else {
-        return;
-    };
-    let mut rng = plan.rng(FaultFamily::CorruptTraceEndpoints);
+fn corrupt_trace_endpoints(campaign: &mut Campaign, city_count: usize, inj: &mut Injector) {
+    let family = FaultFamily::CorruptTraceEndpoints;
     let mut touched = 0;
     for trace in &mut campaign.traces {
-        if !rng.gen_bool(rate) {
+        if !inj.fires(family) {
             continue;
         }
+        let rng = inj.rng(family);
         let bogus = CityId((city_count + rng.gen_range(1..1000usize)) as u32);
         if rng.gen_bool(0.5) {
             trace.src = bogus;
@@ -972,7 +914,7 @@ fn corrupt_trace_endpoints(
         }
         touched += 1;
     }
-    ledger.add(FaultFamily::CorruptTraceEndpoints, touched);
+    inj.ledger.record(family, touched, "trace endpoints corrupted");
 }
 
 // ---------------------------------------------------------------------------
@@ -985,22 +927,18 @@ fn corrupt_trace_endpoints(
 ///
 /// At moderate rates this disconnects the graph; consumers that assume a
 /// connected corridor layer must degrade instead of panic.
-pub fn inject_transport(
-    net: &mut TransportNetwork,
-    plan: &FaultPlan,
-    ledger: &mut InjectionLedger,
-) {
-    let Some(rate) = active_rate(plan, FaultFamily::DisconnectTransport) else {
-        return;
-    };
-    let mut rng = plan.rng(FaultFamily::DisconnectTransport);
+pub fn inject_transport(net: &mut TransportNetwork, inj: &mut Injector) {
+    let family = FaultFamily::DisconnectTransport;
+    if inj.plan().rate(family) <= 0.0 {
+        return; // a clean plan leaves the graph as built
+    }
     let mut touched = 0;
     let mut rebuilt: MultiGraph<CityId, CorridorEdge> = MultiGraph::new();
     for node in net.graph.node_ids() {
         rebuilt.add_node(*net.graph.node(node));
     }
     for edge in net.graph.edge_ids() {
-        if rng.gen_bool(rate) {
+        if inj.fires(family) {
             touched += 1;
             continue;
         }
@@ -1008,7 +946,7 @@ pub fn inject_transport(
         rebuilt.add_edge(a, b, net.graph.edge(edge).clone());
     }
     net.graph = rebuilt;
-    ledger.add(FaultFamily::DisconnectTransport, touched);
+    inj.ledger.record(family, touched, "corridors deleted");
 }
 
 #[cfg(test)]
@@ -1062,30 +1000,52 @@ mod tests {
     #[test]
     fn zero_rate_specs_are_no_ops() {
         // Rate exactly 0.0 is a legal spec — a disabled family — and must
-        // validate, round-trip, and inject nothing (the injectors' shared
-        // `active_rate` gate turns it into an early return).
+        // validate, round-trip, and inject nothing: a zero-rate family
+        // never fires and never advances its stream, sequential or keyed.
         let mut plan = FaultPlan::new(7);
         for family in FaultFamily::ALL {
             plan = plan.with(family, 0.0);
         }
         assert!(plan.validate().is_ok(), "zero rates must validate");
         assert!(plan.is_empty(), "all-zero plan perturbs nothing");
-        assert!(!plan.has_runtime_faults());
         assert_eq!(FaultPlan::from_json(&plan.to_json()).unwrap(), plan);
+        let mut inj = Injector::new(plan.clone());
+        let fresh = Injector::new(plan.clone());
         for family in FaultFamily::ALL {
-            assert_eq!(active_rate(&plan, family), None);
+            assert!(!inj.fires(family));
+            assert!(!plan.fires_at(family, 0, 0));
         }
+        assert_eq!(inj.streams, fresh.streams, "a zero-rate family must draw nothing");
 
         let pristine = sample_maps();
         let mut maps = sample_maps();
-        let mut ledger = InjectionLedger::new();
-        inject_published_maps(&mut maps, &plan, &mut ledger);
+        inject_published_maps(&mut maps, &mut inj);
         assert_eq!(
             format!("{maps:?}"),
             format!("{pristine:?}"),
             "zero-rate injection must leave the maps untouched"
         );
-        assert_eq!(ledger.total(), 0, "zero-rate injection must log nothing");
+        assert_eq!(inj.ledger.total(), 0, "zero-rate injection must log nothing");
+    }
+
+    #[test]
+    fn keyed_draws_are_seeded_and_rate_bounded() {
+        let plan = FaultPlan::new(77)
+            .with(FaultFamily::TornFrame, 0.25)
+            .with(FaultFamily::Disconnect, 0.1);
+        let fired = |plan: &FaultPlan, family| -> Vec<bool> {
+            (0..400).map(|i| plan.fires_at(family, i / 40, i)).collect()
+        };
+        let torn = fired(&plan, FaultFamily::TornFrame);
+        assert_eq!(torn, fired(&plan, FaultFamily::TornFrame), "same plan, same draws");
+        let n = torn.iter().filter(|f| **f).count();
+        assert!(n > 0 && n < 400, "rate 0.25 fired {n} of 400 times");
+        // A different seed, or another family, decides differently.
+        let reseeded = FaultPlan { seed: 78, ..plan.clone() };
+        assert_ne!(torn, fired(&reseeded, FaultFamily::TornFrame));
+        let loris = plan.clone().with(FaultFamily::SlowLoris, 0.25);
+        assert_ne!(torn, fired(&loris, FaultFamily::SlowLoris));
+        assert!(!fired(&plan, FaultFamily::SlowLoris).contains(&true));
     }
 
     #[test]
@@ -1097,13 +1057,13 @@ mod tests {
             .with(FaultFamily::StripGeometry, 0.3);
         let mut a = sample_maps();
         let mut b = sample_maps();
-        let (mut la, mut lb) = (InjectionLedger::new(), InjectionLedger::new());
-        inject_published_maps(&mut a, &plan, &mut la);
-        inject_published_maps(&mut b, &plan, &mut lb);
+        let (mut ia, mut ib) = (Injector::new(plan.clone()), Injector::new(plan));
+        inject_published_maps(&mut a, &mut ia);
+        inject_published_maps(&mut b, &mut ib);
         // Debug-compare: PartialEq would report NaN vertices as unequal.
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!(la, lb);
-        assert!(la.total() > 0);
+        assert_eq!(ia.ledger, ib.ledger);
+        assert!(ia.ledger.total() > 0);
     }
 
     #[test]
@@ -1111,9 +1071,8 @@ mod tests {
         // Counting by inspection only works one family at a time: composed
         // families may drop or strip a link another family just poisoned.
         let mut maps = sample_maps();
-        let mut ledger = InjectionLedger::new();
-        let plan = FaultPlan::new(9).with(FaultFamily::NanCoordinates, 0.3);
-        inject_published_maps(&mut maps, &plan, &mut ledger);
+        let mut inj = Injector::new(FaultPlan::new(9).with(FaultFamily::NanCoordinates, 0.3));
+        inject_published_maps(&mut maps, &mut inj);
         let nan_links = maps[0]
             .links
             .iter()
@@ -1124,15 +1083,14 @@ mod tests {
             })
             .count();
         assert!(nan_links > 0);
-        assert_eq!(nan_links, ledger.count(FaultFamily::NanCoordinates));
+        assert_eq!(nan_links, inj.ledger.count(FaultFamily::NanCoordinates));
 
         let mut maps = sample_maps();
-        let mut ledger = InjectionLedger::new();
-        let plan = FaultPlan::new(9).with(FaultFamily::StripGeometry, 0.3);
-        inject_published_maps(&mut maps, &plan, &mut ledger);
+        let mut inj = Injector::new(FaultPlan::new(9).with(FaultFamily::StripGeometry, 0.3));
+        inject_published_maps(&mut maps, &mut inj);
         let stripped = maps[0].links.iter().filter(|l| l.geometry.is_none()).count();
         assert!(stripped > 0);
-        assert_eq!(stripped, ledger.count(FaultFamily::StripGeometry));
+        assert_eq!(stripped, inj.ledger.count(FaultFamily::StripGeometry));
     }
 
     #[test]
@@ -1142,9 +1100,9 @@ mod tests {
             .with(FaultFamily::DuplicateLinks, 0.4);
         let mut maps = sample_maps();
         let before = maps[0].links.len();
-        let mut ledger = InjectionLedger::new();
-        inject_published_maps(&mut maps, &plan, &mut ledger);
-        let after = maps[0].links.len();
+        let mut inj = Injector::new(plan);
+        inject_published_maps(&mut maps, &mut inj);
+        let (after, ledger) = (maps[0].links.len(), inj.ledger);
         assert_eq!(
             after,
             before + ledger.count(FaultFamily::DuplicateLinks)
@@ -1156,11 +1114,11 @@ mod tests {
     fn zero_rate_plans_touch_nothing() {
         let mut maps = sample_maps();
         let pristine = maps.clone();
-        let mut ledger = InjectionLedger::new();
-        inject_published_maps(&mut maps, &FaultPlan::new(3), &mut ledger);
+        let mut inj = Injector::new(FaultPlan::new(3));
+        inject_published_maps(&mut maps, &mut inj);
         assert_eq!(maps, pristine);
-        assert_eq!(ledger.total(), 0);
-        assert!(ledger.render().contains("clean"));
+        assert_eq!(inj.ledger.total(), 0);
+        assert!(inj.ledger.render().contains("clean"));
     }
 
     #[test]
@@ -1180,8 +1138,9 @@ mod tests {
         let plan = FaultPlan::new(11)
             .with(FaultFamily::CorruptDocuments, 0.3)
             .with(FaultFamily::ContradictoryDocuments, 0.3);
-        let mut ledger = InjectionLedger::new();
-        let faulted = inject_corpus(&corpus, &plan, &mut ledger);
+        let mut inj = Injector::new(plan);
+        let faulted = inject_corpus(&corpus, &mut inj);
+        let ledger = inj.ledger;
         let marked = faulted
             .docs()
             .iter()
@@ -1210,8 +1169,9 @@ mod tests {
         let nodes_before = roads.graph.node_count();
         let edges_before = roads.graph.edge_count();
         let plan = FaultPlan::new(7).with(FaultFamily::DisconnectTransport, 0.5);
-        let mut ledger = InjectionLedger::new();
-        inject_transport(&mut roads, &plan, &mut ledger);
+        let mut inj = Injector::new(plan);
+        inject_transport(&mut roads, &mut inj);
+        let ledger = inj.ledger;
         assert_eq!(roads.graph.node_count(), nodes_before);
         assert_eq!(
             roads.graph.edge_count(),
@@ -1223,31 +1183,23 @@ mod tests {
     #[test]
     fn built_in_scenarios_parse_and_cover_all_families() {
         let scenarios = FaultPlan::built_in_scenarios();
-        assert!(scenarios.iter().any(|(n, _)| *n == "clean"));
-        let everything = &scenarios
-            .iter()
-            .find(|(n, _)| *n == "everything")
-            .unwrap()
-            .1;
-        for family in FaultFamily::INPUT {
-            assert!(everything.rate(family) > 0.0, "missing {family}");
-        }
         let chaos = FaultPlan::built_in_chaos_scenarios();
-        let chaos_everything = &chaos
-            .iter()
-            .find(|(n, _)| *n == "chaos-everything")
-            .unwrap()
-            .1;
-        for family in FaultFamily::RUNTIME {
-            assert!(family.is_runtime());
-            assert!(chaos_everything.rate(family) > 0.0, "missing {family}");
+        assert!(scenarios.iter().any(|(n, _)| *n == "clean"));
+        let find = |list: &[(&str, FaultPlan)], name: &str| -> FaultPlan {
+            list.iter().find(|(n, _)| *n == name).unwrap().1.clone()
+        };
+        let everything = find(&scenarios, "everything");
+        let chaos_everything = find(&chaos, "chaos-everything");
+        // Every family is exercised by exactly one of the two
+        // compositions: input families by `everything`, runtime ones by
+        // `chaos-everything`.
+        for (i, family) in FaultFamily::ALL.into_iter().enumerate() {
+            // `Injector` indexes its streams by discriminant.
+            assert_eq!(family as usize, i, "ALL must list families in declaration order");
+            let input = everything.rate(family) > 0.0;
+            let runtime = chaos_everything.rate(family) > 0.0;
+            assert!(input != runtime, "{family}: input {input}, runtime {runtime}");
         }
-        assert!(chaos_everything.has_runtime_faults());
-        assert!(!everything.has_runtime_faults());
-        assert_eq!(
-            FaultFamily::INPUT.len() + FaultFamily::RUNTIME.len(),
-            FaultFamily::ALL.len()
-        );
         for (_, plan) in scenarios.iter().chain(chaos.iter()) {
             let back = FaultPlan::from_json(&plan.to_json()).unwrap();
             assert_eq!(*plan, back);

@@ -19,11 +19,15 @@
 //!   the `ServeTelemetry` count plane as per-tenant aggregates;
 //! * [`client`] — a reconnect-and-resend client plus the multi-client
 //!   harness proving responses byte-identical across 1/2/8 concurrent
-//!   clients × cache on/off × snapshot count;
-//! * [`chaos`] — transport fault injection (torn frames, slow-loris
-//!   partial writes, mid-stream disconnects) driven by the `FaultPlan`
-//!   transport families under the same seeded-stream discipline as every
-//!   other injector.
+//!   clients × cache on/off × snapshot count.
+//!
+//! The server also injects the `FaultPlan` transport families — torn
+//! frames, slow-loris partial writes, mid-stream disconnects — into
+//! response frames, each a keyed draw (`FaultPlan::fires_at`) on
+//! (connection, frame) recorded in [`ServerReport::ledger`], the same
+//! fault model every other surface uses. Torn frames and disconnects
+//! destroy the response in flight and the client reconnects and resends;
+//! slow-loris only changes pacing.
 //!
 //! The determinism claim the remote gate enforces: because the engine is
 //! pure, quota buckets tick in request-count time, and answers are
@@ -34,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod client;
 pub mod registry;
 pub mod server;
@@ -44,7 +47,6 @@ pub mod wire;
 // themselves before handing it to [`NetServer::run`].
 pub use netpoll;
 
-pub use chaos::{TransportChaos, TransportFault};
 pub use client::{run_clients, NetClient, NetReply};
 pub use registry::SnapshotRegistry;
 pub use server::{NetServer, RunningServer, ServerReport};

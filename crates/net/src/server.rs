@@ -26,13 +26,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use intertubes_faults::FaultPlan;
+use intertubes_faults::{FaultFamily, FaultPlan, InjectionLedger};
 use intertubes_serve::{
     quota_rejection, Query, QuotaConfig, QuotaDecision, Response, TenantQuotas,
 };
 use netpoll::{NbListener, NbStream, ReadOutcome};
 
-use crate::chaos::{TransportChaos, TransportFault};
 use crate::registry::SnapshotRegistry;
 use crate::wire::{Frame, FrameKind, FrameReader, WireError};
 
@@ -55,8 +54,8 @@ pub struct ServerReport {
     pub errors: u64,
     /// Frames answered with a quota `Rejected` response.
     pub quota_rejected: u64,
-    /// Transport faults injected (torn/loris/disconnect).
-    pub chaos_injected: u64,
+    /// Transport faults injected (torn frame, slow-loris, disconnect).
+    pub ledger: InjectionLedger,
     /// Client-initiated session closes observed (server-initiated chaos
     /// closes never count — the reconnecting client is the same session).
     pub sessions_closed: u64,
@@ -98,7 +97,8 @@ impl Conn {
 pub struct NetServer {
     registry: SnapshotRegistry,
     quotas: TenantQuotas,
-    chaos: Option<TransportChaos>,
+    /// Transport fault plan; the empty plan serves clean.
+    chaos: FaultPlan,
     session_limit: Option<u64>,
 }
 
@@ -108,7 +108,7 @@ impl NetServer {
         NetServer {
             registry,
             quotas: TenantQuotas::new(QuotaConfig::default()),
-            chaos: None,
+            chaos: FaultPlan::default(),
             session_limit: None,
         }
     }
@@ -119,10 +119,10 @@ impl NetServer {
         self
     }
 
-    /// Arms the transport chaos injector with the plan's transport-family
-    /// rates (a plan without them leaves the server clean).
+    /// Injects the plan's transport families into response frames (a
+    /// plan without them leaves the server clean).
     pub fn with_chaos(mut self, plan: &FaultPlan) -> NetServer {
-        self.chaos = TransportChaos::from_plan(plan);
+        self.chaos = plan.clone();
         self
     }
 
@@ -391,38 +391,38 @@ impl NetServer {
         replies.into_iter().flatten().collect()
     }
 
-    /// Queues one reply frame, applying transport chaos when armed. The
-    /// chaos draw is keyed by the **global** connection ordinal, so a
-    /// client retrying on a fresh connection rolls a fresh draw — a
-    /// deterministic tear-forever loop is impossible.
+    /// Queues one reply frame, applying the transport fault families.
+    /// Each draw is keyed by the **global** connection ordinal and the
+    /// connection's frame ordinal, so a client retrying on a fresh
+    /// connection rolls a fresh draw — a deterministic tear-forever loop
+    /// is impossible. Families are tried in a fixed order — disconnect,
+    /// torn frame, slow-loris — and at most one fires.
     fn dispatch(&self, cid: u64, conn: &mut Conn, reply: &Frame, report: &mut ServerReport) {
         let frame_idx = conn.frames_out;
         conn.frames_out += 1;
-        let fault = self.chaos.and_then(|c| c.decide(cid, frame_idx));
-        match fault {
-            Some(TransportFault::Disconnect) => {
-                report.chaos_injected += 1;
-                intertubes_obs::counter("net.chaos_disconnect", 1);
-                conn.server_closed = true;
-                conn.close_after_flush = true; // flush nothing new; close
-            }
-            Some(TransportFault::TornFrame) => {
-                report.chaos_injected += 1;
-                intertubes_obs::counter("net.chaos_torn_frame", 1);
-                if let Ok(bytes) = crate::wire::encode_frame(reply) {
-                    conn.outbox.extend_from_slice(&bytes[..bytes.len() / 2]);
-                }
-                conn.server_closed = true;
-                conn.close_after_flush = true;
-            }
-            Some(TransportFault::SlowLoris) => {
-                report.chaos_injected += 1;
-                intertubes_obs::counter("net.chaos_slow_loris", 1);
-                conn.chunk = Some(LORIS_CHUNK);
-                queue_frame(conn, reply);
-            }
-            None => queue_frame(conn, reply),
+        let family = [FaultFamily::Disconnect, FaultFamily::TornFrame, FaultFamily::SlowLoris]
+            .into_iter()
+            .find(|&f| self.chaos.fires_at(f, cid, frame_idx));
+        let Some(family) = family else {
+            queue_frame(conn, reply);
+            return;
+        };
+        let detail = format!("response frame {frame_idx} on connection {cid}");
+        report.ledger.record(family, 1, &detail);
+        if family == FaultFamily::SlowLoris {
+            conn.chunk = Some(LORIS_CHUNK);
+            queue_frame(conn, reply);
+            return;
         }
+        // A disconnect closes before any byte of the frame is sent; a torn
+        // frame sends half of it first.
+        if family == FaultFamily::TornFrame {
+            if let Ok(bytes) = crate::wire::encode_frame(reply) {
+                conn.outbox.extend_from_slice(&bytes[..bytes.len() / 2]);
+            }
+        }
+        conn.server_closed = true;
+        conn.close_after_flush = true;
     }
 }
 

@@ -1,21 +1,20 @@
 //! Runtime fault injection, crash-safe snapshot persistence, and the
 //! serving health machine (DESIGN.md §11).
 //!
-//! PR 1's `FaultPlan` DSL stops at the pipeline inputs; this module
-//! carries it into the serving runtime. A [`ChaosSession`] owns the
-//! runtime half of a plan — torn writes, section bit-flips, transient
-//! I/O errors, slow reads, cache poisoning, overload bursts — and exposes
-//! it two ways:
+//! A [`ChaosSession`] carries the runtime half of a `FaultPlan` into the
+//! serving runtime — torn writes, section bit-flips, transient I/O
+//! errors, slow reads, cache poisoning, overload bursts — and exposes it
+//! two ways:
 //!
-//! * as a [`SnapshotIo`] implementation (the `ChaosIo` wrapper): every
-//!   snapshot read/write/rename the persistence layer performs flows
-//!   through the session, which injects faults from seeded per-family RNG
-//!   streams and records each one in an [`InjectionLedger`] plus obs
-//!   events;
+//! * as a [`SnapshotIo`] implementation: every snapshot read/write/rename
+//!   the persistence layer performs flows through the session;
 //! * as scheduler hooks ([`ChaosSession::overload_burst`],
 //!   [`ChaosSession::poison_cache`]) called from the wave loop's serial
 //!   phases only, so every chaos decision is a function of (plan, seed,
 //!   wave) — never of thread interleaving or wall-clock.
+//!
+//! Both draw from one `intertubes_faults::Injector` and record into its
+//! `InjectionLedger`, the same model the pipeline-input injectors use.
 //!
 //! [`save_with`] / [`load_with`] implement the crash-safe persistence
 //! protocol over any [`SnapshotIo`]: write to `<path>.tmp`, fsync,
@@ -36,9 +35,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use intertubes_degrade::DegradationPolicy;
-use intertubes_faults::{FaultFamily, FaultPlan, InjectionLedger, SnapshotSection};
+use intertubes_faults::{FaultFamily, FaultPlan, InjectionLedger, Injector, SnapshotSection};
 use intertubes_obs::{FieldValue, Level};
-use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::cache::ResultCache;
@@ -675,31 +673,25 @@ impl ChaosReport {
     }
 }
 
-/// Per-family RNG streams plus the session's accumulating record.
+/// The session's injector (draw streams and ledger) plus its health
+/// record.
 struct ChaosState {
-    torn: StdRng,
-    flip: StdRng,
-    io: StdRng,
-    slow: StdRng,
-    poison: StdRng,
-    overload: StdRng,
-    ledger: InjectionLedger,
+    injector: Injector,
     health: HealthTrace,
     stall_us: u64,
 }
 
 /// One chaos run: the runtime half of a [`FaultPlan`] bound to a
 /// degradation policy. Implements [`SnapshotIo`] (injecting I/O faults)
-/// and exposes the scheduler hooks; every injection lands in the ledger,
-/// the health trace, and the obs event stream.
+/// and exposes the scheduler hooks; every injection lands in the
+/// injector's ledger and the health trace. A clean run is a session under
+/// the empty plan.
 ///
-/// All draws come from seeded per-family streams
-/// (`plan.stream_rng(family)`), and all entry points are called from
-/// serial code, so a session's behavior is a pure function of
-/// (plan, call sequence) — the foundation of the chaos determinism
-/// contract.
+/// All draws come from the injector's seeded per-family streams, and all
+/// entry points are called from serial code, so a session's behavior is a
+/// pure function of (plan, call sequence) — the foundation of the chaos
+/// determinism contract.
 pub struct ChaosSession {
-    plan: FaultPlan,
     policy: DegradationPolicy,
     state: Mutex<ChaosState>,
 }
@@ -708,18 +700,11 @@ impl ChaosSession {
     /// Binds the runtime half of `plan` to a degradation policy.
     pub fn new(plan: FaultPlan, policy: DegradationPolicy) -> ChaosSession {
         let state = ChaosState {
-            torn: plan.stream_rng(FaultFamily::TornSnapshotWrite),
-            flip: plan.stream_rng(FaultFamily::SnapshotBitFlip),
-            io: plan.stream_rng(FaultFamily::TransientIo),
-            slow: plan.stream_rng(FaultFamily::SlowRead),
-            poison: plan.stream_rng(FaultFamily::CachePoison),
-            overload: plan.stream_rng(FaultFamily::OverloadBurst),
-            ledger: InjectionLedger::new(),
+            injector: Injector::new(plan),
             health: HealthTrace::new(),
             stall_us: 0,
         };
         ChaosSession {
-            plan,
             policy,
             state: Mutex::new(state),
         }
@@ -728,11 +713,6 @@ impl ChaosSession {
     /// The degradation policy this session serves under.
     pub fn policy(&self) -> DegradationPolicy {
         self.policy
-    }
-
-    /// The plan driving the session.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// The retry policy implied by the degradation policy.
@@ -745,19 +725,8 @@ impl ChaosSession {
     }
 
     fn inject(st: &mut ChaosState, family: FaultFamily, n: usize, wave: u64, detail: &str) {
-        st.ledger.add(family, n);
+        st.injector.ledger.record(family, n, detail);
         st.health.note_fault(wave, family.label());
-        intertubes_obs::counter("chaos.injected", n.max(1) as u64);
-        intertubes_obs::event(
-            Level::Warn,
-            "chaos",
-            &format!("injected {} {detail}", family.label()),
-            &[
-                ("family", FieldValue::Str(family.label().to_string())),
-                ("count", FieldValue::U64(n as u64)),
-                ("wave", FieldValue::U64(wave)),
-            ],
-        );
     }
 
     /// Scheduler hook (serial, once per wave, before lookups): does an
@@ -765,12 +734,8 @@ impl ChaosSession {
     /// is shed from — every query at `position >= shed_from` receives a
     /// `Response::Degraded` instead of computing.
     pub fn overload_burst(&self, wave: u64, depth: usize) -> Option<usize> {
-        let rate = self.plan.rate(FaultFamily::OverloadBurst);
-        if rate <= 0.0 || depth == 0 {
-            return None;
-        }
         let mut st = self.lock();
-        if !st.overload.gen_bool(rate) {
+        if depth == 0 || !st.injector.fires(FaultFamily::OverloadBurst) {
             return None;
         }
         let shed_from = depth / 2;
@@ -789,12 +754,8 @@ impl ChaosSession {
     /// poisoning hit this wave? Corrupts one whole shard (`wave %
     /// shards`) and returns the entry count touched.
     pub fn poison_cache(&self, wave: u64, cache: &ResultCache) -> usize {
-        let rate = self.plan.rate(FaultFamily::CachePoison);
-        if rate <= 0.0 {
-            return 0;
-        }
         let mut st = self.lock();
-        if !st.poison.gen_bool(rate) {
+        if !st.injector.fires(FaultFamily::CachePoison) {
             return 0;
         }
         let shard = (wave as usize) % cache.shard_count().max(1);
@@ -837,7 +798,7 @@ impl ChaosSession {
 
     /// A copy of the injection ledger so far.
     pub fn ledger(&self) -> InjectionLedger {
-        self.lock().ledger.clone()
+        self.lock().injector.ledger.clone()
     }
 
     /// The session's deterministic report (ledger, health trace, virtual
@@ -846,7 +807,7 @@ impl ChaosSession {
     pub fn report(&self) -> ChaosReport {
         let st = self.lock();
         ChaosReport {
-            ledger: st.ledger.clone(),
+            ledger: st.injector.ledger.clone(),
             transitions: st.health.transitions().to_vec(),
             final_health: st.health.state(),
             virtual_stall_us: st.stall_us,
@@ -863,37 +824,25 @@ impl ChaosSession {
 impl SnapshotIo for ChaosSession {
     fn read(&self, path: &Path) -> Result<Vec<u8>, SnapshotError> {
         let mut st = self.lock();
-        let io_rate = self.plan.rate(FaultFamily::TransientIo);
-        if io_rate > 0.0 && st.io.gen_bool(io_rate) {
-            Self::inject(
-                &mut st,
-                FaultFamily::TransientIo,
-                1,
-                0,
-                &format!("error reading {}", path.display()),
-            );
+        let shown = path.display();
+        if st.injector.fires(FaultFamily::TransientIo) {
+            Self::inject(&mut st, FaultFamily::TransientIo, 1, 0, &format!("reading {shown}"));
             return Err(SnapshotError::Io(format!(
-                "injected transient i/o error reading {}",
-                path.display()
+                "injected transient i/o error reading {shown}"
             )));
         }
-        let slow_rate = self.plan.rate(FaultFamily::SlowRead);
-        if slow_rate > 0.0 && st.slow.gen_bool(slow_rate) {
+        if st.injector.fires(FaultFamily::SlowRead) {
             st.stall_us += SLOW_READ_STALL_US;
-            Self::inject(
-                &mut st,
-                FaultFamily::SlowRead,
-                1,
-                0,
-                &format!("stall of {SLOW_READ_STALL_US}us reading {}", path.display()),
-            );
+            let detail = format!("stall of {SLOW_READ_STALL_US}us reading {shown}");
+            Self::inject(&mut st, FaultFamily::SlowRead, 1, 0, &detail);
         }
         let mut bytes = RealIo.read(path)?;
-        let flip_rate = self.plan.rate(FaultFamily::SnapshotBitFlip);
-        if flip_rate > 0.0 && st.flip.gen_bool(flip_rate) {
-            let section = self
-                .plan
-                .section_for(FaultFamily::SnapshotBitFlip)
+        let flip = FaultFamily::SnapshotBitFlip;
+        if st.injector.fires(flip) {
+            let section = st
+                .injector
+                .plan()
+                .section_for(flip)
                 .unwrap_or(SnapshotSection::Payload);
             let (start, end) = section_bounds(&bytes)
                 .and_then(|b| match section {
@@ -904,16 +853,12 @@ impl SnapshotIo for ChaosSession {
                 .filter(|(s, e)| e > s)
                 .unwrap_or((0, bytes.len()));
             if end > start {
-                let idx = st.flip.gen_range(start..end);
-                let bit = st.flip.gen_range(0..8u32);
+                let rng = st.injector.rng(flip);
+                let idx = rng.gen_range(start..end);
+                let bit = rng.gen_range(0..8u32);
                 bytes[idx] ^= 1 << bit;
-                Self::inject(
-                    &mut st,
-                    FaultFamily::SnapshotBitFlip,
-                    1,
-                    0,
-                    &format!("bit {bit} of byte {idx} ({} section)", section.label()),
-                );
+                let detail = format!("bit {bit} of byte {idx} ({} section)", section.label());
+                Self::inject(&mut st, flip, 1, 0, &detail);
             }
         }
         Ok(bytes)
@@ -921,16 +866,11 @@ impl SnapshotIo for ChaosSession {
 
     fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut st = self.lock();
-        let rate = self.plan.rate(FaultFamily::TornSnapshotWrite);
-        if rate > 0.0 && st.torn.gen_bool(rate) {
-            let keep = st.torn.gen_range(0..bytes.len().max(1)).min(bytes.len());
-            Self::inject(
-                &mut st,
-                FaultFamily::TornSnapshotWrite,
-                1,
-                0,
-                &format!("kept {keep} of {} bytes writing {}", bytes.len(), path.display()),
-            );
+        let torn = FaultFamily::TornSnapshotWrite;
+        if st.injector.fires(torn) {
+            let keep = st.injector.rng(torn).gen_range(0..bytes.len().max(1)).min(bytes.len());
+            let detail = format!("kept {keep} of {} bytes writing {}", bytes.len(), path.display());
+            Self::inject(&mut st, torn, 1, 0, &detail);
             drop(st);
             // The torn write *reports success* — exactly like a crash
             // between write and fsync. Only save_with's verify pass can

@@ -24,9 +24,11 @@
 //! deadline overruns) feed the stats and obs metrics only — they never
 //! influence a response.
 //!
-//! Under an active [`ChaosSession`] ([`run_batch_chaos`]) the wave loop
-//! gains two serial chaos hooks — cache poisoning and overload bursts —
-//! and a graceful-degradation tier: an overloaded wave is shed
+//! Every batch runs under a [`ChaosSession`]; [`run_batch`] passes a
+//! clean one (the empty plan), whose hooks never fire. Under
+//! [`run_batch_chaos`] the wave loop's two serial chaos hooks — cache
+//! poisoning and overload bursts — can fire, with a
+//! graceful-degradation tier: an overloaded wave is shed
 //! **deterministically by queue position** into
 //! [`Response::Degraded`] answers (stale-cache-served under the lenient
 //! policy), never silently dropped. Chaos decisions only happen in the
@@ -41,7 +43,10 @@ use intertubes_parallel::par_map;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheConfig, ResultCache};
-use crate::chaos::{ChaosReport, ChaosSession, Health, HealthTrace};
+use intertubes_degrade::DegradationPolicy;
+use intertubes_faults::FaultPlan;
+
+use crate::chaos::{ChaosReport, ChaosSession, Health};
 use crate::engine::QueryEngine;
 use crate::query::{key_hash, scoped_key, Query, Response};
 use crate::telemetry::{CacheOutcome, QueryFamily, ServeTelemetry};
@@ -146,7 +151,7 @@ pub fn run_batch(
     cfg: &ServeConfig,
     cache: &ResultCache,
 ) -> (Vec<String>, ServeStats) {
-    let (responses, stats, _) = serve_batch(engine, queries, cfg, cache, None, None);
+    let (responses, stats, _) = serve_batch(engine, queries, cfg, cache, &clean(), None);
     (responses, stats)
 }
 
@@ -161,8 +166,13 @@ pub fn run_batch_telemetry(
     cache: &ResultCache,
     telemetry: &ServeTelemetry,
 ) -> (Vec<String>, ServeStats) {
-    let (responses, stats, _) = serve_batch(engine, queries, cfg, cache, None, Some(telemetry));
+    let (responses, stats, _) = serve_batch(engine, queries, cfg, cache, &clean(), Some(telemetry));
     (responses, stats)
+}
+
+/// The session a clean run serves under: the empty plan, lenient.
+fn clean() -> ChaosSession {
+    ChaosSession::new(FaultPlan::default(), DegradationPolicy::Lenient)
 }
 
 /// [`run_batch_chaos`] with a telemetry sink: additionally dumps the
@@ -176,7 +186,7 @@ pub fn run_batch_chaos_telemetry(
     chaos: &ChaosSession,
     telemetry: &ServeTelemetry,
 ) -> (Vec<String>, ServeStats, ChaosReport) {
-    serve_batch(engine, queries, cfg, cache, Some(chaos), Some(telemetry))
+    serve_batch(engine, queries, cfg, cache, chaos, Some(telemetry))
 }
 
 /// [`run_batch`] under an active chaos session: the wave loop consults
@@ -190,7 +200,7 @@ pub fn run_batch_chaos(
     cache: &ResultCache,
     chaos: &ChaosSession,
 ) -> (Vec<String>, ServeStats, ChaosReport) {
-    serve_batch(engine, queries, cfg, cache, Some(chaos), None)
+    serve_batch(engine, queries, cfg, cache, chaos, None)
 }
 
 /// The shared wave loop behind [`run_batch`] and [`run_batch_chaos`].
@@ -199,7 +209,7 @@ fn serve_batch(
     queries: &[Query],
     cfg: &ServeConfig,
     cache: &ResultCache,
-    chaos: Option<&ChaosSession>,
+    chaos: &ChaosSession,
     telemetry: Option<&ServeTelemetry>,
 ) -> (Vec<String>, ServeStats, ChaosReport) {
     let t0 = Instant::now();
@@ -223,7 +233,7 @@ fn serve_batch(
         t.note_admission(queries.len() as u64, admitted as u64, rejected as u64);
     }
 
-    let lenient = chaos.map_or(true, |c| !c.policy().is_strict());
+    let lenient = !chaos.policy().is_strict();
     let mut latencies: Vec<u64> = Vec::with_capacity(admitted);
     let mut cache_hits = 0usize;
     let mut cache_misses = 0usize;
@@ -250,17 +260,9 @@ fn serve_batch(
         // Chaos hooks (serial, before any lookup): poison a cache shard,
         // then decide whether an overload burst sheds this wave's tail.
         // Both are functions of (plan, seed, wave) — never of timing.
-        let mut wave_injected = false;
-        let mut shed_from: Option<usize> = None;
-        if let Some(session) = chaos {
-            if session.poison_cache(waves as u64, cache) > 0 {
-                wave_injected = true;
-            }
-            shed_from = session.overload_burst(waves as u64, depth);
-            if shed_from.is_some() {
-                wave_injected = true;
-            }
-        }
+        let poisoned = chaos.poison_cache(waves as u64, cache) > 0;
+        let shed_from = chaos.overload_burst(waves as u64, depth);
+        let wave_injected = poisoned || shed_from.is_some();
 
         // Phase 1 — decide (serial): cache lookups and in-wave dedup.
         let mut slots: Vec<Slot> = Vec::with_capacity(depth);
@@ -409,9 +411,7 @@ fn serve_batch(
         for ((key, _), (json, _)) in unique.iter().zip(&computed) {
             cache.insert(key, json);
         }
-        if let Some(session) = chaos {
-            session.end_wave(waves as u64, wave_injected);
-        }
+        chaos.end_wave(waves as u64, wave_injected);
         if let Some(t) = telemetry {
             t.note_wave_complete();
             // Flight-recorder triggers (serial, after the wave's events
@@ -421,17 +421,12 @@ fn serve_batch(
             if wave_injected {
                 t.dump_flight("fault_injected", waves as u64);
             }
-            if let Some(session) = chaos {
-                let health = session.health();
-                if health != prev_health {
-                    if health != Health::Ready {
-                        t.dump_flight(
-                            &format!("health:{}", health.label()),
-                            waves as u64,
-                        );
-                    }
-                    prev_health = health;
+            let health = chaos.health();
+            if health != prev_health {
+                if health != Health::Ready {
+                    t.dump_flight(&format!("health:{}", health.label()), waves as u64);
                 }
+                prev_health = health;
             }
         }
 
@@ -468,35 +463,11 @@ fn serve_batch(
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
     };
 
-    let report = match chaos {
-        Some(session) => {
-            session.drain(waves as u64);
-            let mut report = session.report();
-            report.degraded = degraded;
-            report.stale_served = stale_served;
-            report.cache_poison_detected = cache.poisoned_detected();
-            report
-        }
-        None => {
-            // No chaos session: the health machine still runs its
-            // lifecycle (Ready → Draining) so clean serves surface a
-            // health trace too.
-            let mut health = HealthTrace::new();
-            health.drain(waves as u64);
-            ChaosReport {
-                ledger: intertubes_faults::InjectionLedger::new(),
-                transitions: health.transitions().to_vec(),
-                final_health: health.state(),
-                virtual_stall_us: 0,
-                degraded,
-                stale_served,
-                cache_poison_detected: cache.poisoned_detected(),
-                load_attempts: 0,
-                load_backoff_us: 0,
-                salvaged_from: None,
-            }
-        }
-    };
+    chaos.drain(waves as u64);
+    let mut report = chaos.report();
+    report.degraded = degraded;
+    report.stale_served = stale_served;
+    report.cache_poison_detected = cache.poisoned_detected();
     if let Some(t) = telemetry {
         t.set_health_transitions(report.transitions.len() as u64);
         // The drain capture: the final flight window every run gets,

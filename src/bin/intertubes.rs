@@ -126,7 +126,8 @@ fn usage() -> ! {
                                   chaos-everything); under --listen the plan's\n\
                                   transport families (torn-frame, slow-loris,\n\
                                   disconnect) drive the wire injector\n\
-           --chaos-report <path>  chaos report (ledger + health trace) JSON\n\
+           --chaos-report <path>  chaos report (ledger + health trace) JSON;\n\
+                                  local replay only (rejected with --listen)\n\
          serve --listen flags:\n\
            --listen <addr>        bind address (port 0 picks an ephemeral port)\n\
            --addr-file <path>     write the resolved listen address (scripts\n\
@@ -423,6 +424,10 @@ fn parse_serve_opts(rest: &[String]) -> ServeOpts {
     }
     if opts.listen.is_none() && opts.snapshots.len() > 1 {
         eprintln!("multiple --snapshot entries need --listen (local replay serves one)");
+        std::process::exit(2);
+    }
+    if opts.listen.is_some() && opts.chaos_report.is_some() {
+        eprintln!("--chaos-report is written by local replay only; --listen writes none");
         std::process::exit(2);
     }
     opts
@@ -996,7 +1001,7 @@ fn run_serve_listen(
             report.responses,
             report.errors,
             report.quota_rejected,
-            report.chaos_injected
+            report.ledger.total()
         ),
         &[],
     );

@@ -427,6 +427,27 @@ fn cli_serve_chaos_writes_report_and_manifest_health() {
     assert_eq!(out.status.code(), Some(3));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // The front-end writes no chaos report, so asking it for one is a
+    // usage error (exit 2) before anything loads or binds.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_intertubes"))
+        .args([
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--snapshot",
+            snap_path.to_str().unwrap(),
+            "--chaos",
+            "torn-frame",
+            "--chaos-report",
+            dir.join("never.json").to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--chaos-report"), "{stderr}");
+    assert!(!dir.join("never.json").exists());
 }
 
 /// Hex FNV-1a digest of a serialized output.
@@ -441,9 +462,13 @@ fn digest(text: &str) -> String {
 /// the load fields the way `serve --chaos` fills them in.
 fn golden_round(name: &str, plan: &FaultPlan, policy: DegradationPolicy) -> (String, String) {
     let path = scratch(&format!("golden-{name}-{policy:?}.snap"));
-    for ext in ["tmp", "bak"] {
-        let _ = std::fs::remove_file(path.with_extension(format!("snap.{ext}")));
-    }
+    let files = [path.clone(), path.with_extension("snap.tmp"), path.with_extension("snap.bak")];
+    let clear = || {
+        for f in &files {
+            let _ = std::fs::remove_file(f);
+        }
+    };
+    clear();
     snapshot().save(&path).unwrap();
     let session = ChaosSession::new(plan.clone(), policy);
     let retry = session.retry_policy();
@@ -462,6 +487,7 @@ fn golden_round(name: &str, plan: &FaultPlan, policy: DegradationPolicy) -> (Str
         }
         Err(_) => (snapshot().clone(), None),
     };
+    clear();
     let eng = QueryEngine::new(snap);
     let queries = mixed_workload(snapshot(), REPLAY, SEED);
     let cfg = serve_cfg();
@@ -479,13 +505,14 @@ fn golden_round(name: &str, plan: &FaultPlan, policy: DegradationPolicy) -> (Str
 }
 
 /// The wire decisions of one chaos scenario over conn 0..16 × frame
-/// 0..64, in (conn, frame) order: the fault label, or `-`.
+/// 0..64, in (conn, frame) order: the fault label, or `-`. The server
+/// tries disconnect, then torn frame, then slow-loris; at most one fires.
 fn transport_decisions(plan: &FaultPlan) -> String {
-    let chaos = intertubes::net::TransportChaos::from_plan(plan);
+    let wire = [FaultFamily::Disconnect, FaultFamily::TornFrame, FaultFamily::SlowLoris];
     let mut out = String::new();
     for conn in 0..16u64 {
         for frame in 0..64u64 {
-            let fault = chaos.and_then(|c| c.decide(conn, frame));
+            let fault = wire.into_iter().find(|&f| plan.fires_at(f, conn, frame));
             out.push_str(fault.map_or("-", |f| f.label()));
             out.push(if frame == 63 { '\n' } else { ' ' });
         }

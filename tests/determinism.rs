@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 use intertubes::degrade::DegradationPolicy;
-use intertubes::faults::{inject_campaign, FaultPlan};
+use intertubes::faults::{inject_campaign, FaultPlan, Injector};
 use intertubes::mitigation::already_optimal_fraction;
 use intertubes::obs;
 use intertubes::parallel::with_threads;
@@ -115,7 +115,9 @@ fn faulted_snapshot(plan: &FaultPlan, policy: DegradationPolicy, threads: usize)
         match Study::new_faulted(cfg, plan) {
             Ok((study, report, mut ledger)) => {
                 let mut campaign = study.campaign(Some(FAULTED_PROBES));
-                inject_campaign(&mut campaign, study.world.cities.len(), plan, &mut ledger);
+                let mut injector = Injector::new(plan.clone());
+                inject_campaign(&mut campaign, study.world.cities.len(), &mut injector);
+                ledger.merge(&injector.ledger);
                 let overlay = match study.overlay_checked(&campaign) {
                     Ok((overlay, report)) => format!(
                         "{}\noverlay.report:{}",

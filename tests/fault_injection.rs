@@ -9,7 +9,7 @@
 use std::sync::OnceLock;
 
 use intertubes::degrade::{DegradationPolicy, DegradationReport};
-use intertubes::faults::{inject_campaign, FaultFamily, FaultPlan, InjectionLedger};
+use intertubes::faults::{inject_campaign, FaultFamily, FaultPlan, InjectionLedger, Injector};
 use intertubes::probes::Campaign;
 use intertubes::{IntertubesError, Study, StudyConfig};
 
@@ -146,13 +146,9 @@ fn disconnected_transport_degrades_but_builds() {
 fn corrupt_trace_endpoints_are_dropped_and_counted() {
     let (study, _, campaign) = baseline();
     let mut campaign = campaign.clone();
-    let mut ledger = InjectionLedger::new();
-    inject_campaign(
-        &mut campaign,
-        study.world.cities.len(),
-        &plan(FaultFamily::CorruptTraceEndpoints, 0.02),
-        &mut ledger,
-    );
+    let mut injector = Injector::new(plan(FaultFamily::CorruptTraceEndpoints, 0.02));
+    inject_campaign(&mut campaign, study.world.cities.len(), &mut injector);
+    let ledger = injector.ledger;
     let injected = ledger.count(FaultFamily::CorruptTraceEndpoints);
     assert!(injected > 0);
     let (overlay, report) = study.overlay_checked(&campaign).expect("lenient overlay");
@@ -169,13 +165,9 @@ fn truncated_traces_only_lose_coverage() {
     let (study, _, campaign) = baseline();
     let clean_overlay = study.overlay(campaign);
     let mut faulty = campaign.clone();
-    let mut ledger = InjectionLedger::new();
-    inject_campaign(
-        &mut faulty,
-        study.world.cities.len(),
-        &plan(FaultFamily::TruncateTraces, 0.3),
-        &mut ledger,
-    );
+    let mut injector = Injector::new(plan(FaultFamily::TruncateTraces, 0.3));
+    inject_campaign(&mut faulty, study.world.cities.len(), &mut injector);
+    let ledger = injector.ledger;
     assert!(ledger.count(FaultFamily::TruncateTraces) > 0);
     let (overlay, report) = study.overlay_checked(&faulty).expect("lenient overlay");
     assert!(report.is_clean(), "truncation is invisible, not an input error");
@@ -188,13 +180,9 @@ fn truncated_traces_only_lose_coverage() {
 fn misgeolocated_hops_never_panic_and_conserve_traces() {
     let (study, _, campaign) = baseline();
     let mut faulty = campaign.clone();
-    let mut ledger = InjectionLedger::new();
-    inject_campaign(
-        &mut faulty,
-        study.world.cities.len(),
-        &plan(FaultFamily::MisgeolocateHops, 0.2),
-        &mut ledger,
-    );
+    let mut injector = Injector::new(plan(FaultFamily::MisgeolocateHops, 0.2));
+    inject_campaign(&mut faulty, study.world.cities.len(), &mut injector);
+    let ledger = injector.ledger;
     assert!(ledger.count(FaultFamily::MisgeolocateHops) > 0);
     let (overlay, _) = study.overlay_checked(&faulty).expect("lenient overlay");
     assert_eq!(overlay.overlaid + overlay.skipped, faulty.traces.len());
@@ -216,13 +204,9 @@ fn strict_overlay_rejects_corrupt_endpoints() {
     let (study, _) = Study::new_checked(strict_config()).expect("clean strict build");
     let campaign = study.campaign(Some(2_000));
     let mut faulty = campaign.clone();
-    let mut ledger = InjectionLedger::new();
-    inject_campaign(
-        &mut faulty,
-        study.world.cities.len(),
-        &plan(FaultFamily::CorruptTraceEndpoints, 0.05),
-        &mut ledger,
-    );
+    let mut injector = Injector::new(plan(FaultFamily::CorruptTraceEndpoints, 0.05));
+    inject_campaign(&mut faulty, study.world.cities.len(), &mut injector);
+    let ledger = injector.ledger;
     assert!(ledger.count(FaultFamily::CorruptTraceEndpoints) > 0);
     let err = study.overlay_checked(&faulty).unwrap_err();
     assert!(matches!(err, IntertubesError::Probe(_)), "{err}");
@@ -257,7 +241,9 @@ fn every_built_in_scenario_completes_leniently() {
         // Probe-family faults land on the campaign, not the build — run the
         // full lifecycle so every scenario exercises its whole plan.
         let mut campaign = study.campaign(Some(2_000));
-        inject_campaign(&mut campaign, study.world.cities.len(), &plan, &mut ledger);
+        let mut injector = Injector::new(plan.clone());
+        inject_campaign(&mut campaign, study.world.cities.len(), &mut injector);
+        ledger.merge(&injector.ledger);
         let (overlay, overlay_report) = study
             .overlay_checked(&campaign)
             .unwrap_or_else(|e| panic!("scenario {name} overlay failed: {e}"));

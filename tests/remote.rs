@@ -170,7 +170,7 @@ fn transport_chaos_cannot_change_a_response_byte() {
     assert_eq!(got, expect, "chaos must be invisible in the response bytes");
     let report = server.stop().unwrap();
     assert!(
-        report.chaos_injected > 0,
+        report.ledger.total() > 0,
         "the torn-frame scenario must actually fire over {REPLAY} frames"
     );
 }
