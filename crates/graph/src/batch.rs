@@ -68,7 +68,7 @@ pub fn par_shortest_paths_csr(
                     Err(oob(t))
                 } else {
                     match &tree {
-                        Ok(()) => Ok(st.path_to(t)),
+                        Ok(_) => Ok(st.path_to(t)),
                         Err(e) => Err(e.clone()),
                     }
                 };

@@ -14,7 +14,8 @@
 //!   edge cost function, so the same engine serves km-cost routing
 //!   (latency, §5.3), hop-cost routing (path inflation, §5.1) and
 //!   shared-risk-cost routing (eq. 1): reusable [`SearchState`] scratch,
-//!   full trees ([`csr_shortest_path_tree`]), early-exit point queries
+//!   full trees ([`csr_shortest_path_tree`], frozen for reuse as a
+//!   4 B-per-node [`PathTree`]), early-exit point queries
 //!   ([`csr_dijkstra`], [`csr_dijkstra_filtered`]),
 //!   [`bidirectional_dijkstra`], ALT [`Landmarks`] pruning, loopless
 //!   k-shortest paths ([`yen_k_shortest_csr`], for the "average of
@@ -49,7 +50,7 @@ pub use landmarks::{Landmarks, DEFAULT_LANDMARK_COUNT};
 pub use multigraph::{EdgeId, EdgeRef, MultiGraph, NodeId};
 pub use path::Path;
 pub use search::{
-    bidirectional_dijkstra, csr_dijkstra, csr_dijkstra_filtered, csr_shortest_path_tree,
+    bidirectional_dijkstra, csr_dijkstra, csr_dijkstra_filtered, csr_shortest_path_tree, PathTree,
     SearchState,
 };
 pub use yen::{yen_k_shortest_csr, YenWorkspace};

@@ -12,7 +12,9 @@
 //!
 //! * [`csr_shortest_path_tree`] — full single-source tree; like the
 //!   textbook engine it reports an invalid cost on *any* edge it relaxes,
-//!   so callers whose costs may be NaN use it to reject a whole component;
+//!   so callers whose costs may be NaN use it to reject a whole component.
+//!   It also returns the tree frozen as a [`PathTree`] (4 B per node) for
+//!   callers that route many targets from one source;
 //! * [`csr_dijkstra`] / [`csr_dijkstra_filtered`] — s→t queries that stop
 //!   the moment the target settles, optionally pruned by an ALT landmark
 //!   bound ([`Landmarks`]);
@@ -118,6 +120,55 @@ impl SearchState {
     }
 }
 
+/// A frozen single-source shortest-path tree: the search source and one
+/// predecessor edge per node, 4 bytes per node.
+///
+/// Built by [`csr_shortest_path_tree`]. Distances are deliberately not
+/// kept: callers that reuse a tree across many targets need only the
+/// route, and a tree per (provider, source) or per gap-fill source stays
+/// small enough to keep thousands alive. A predecessor *node* is the
+/// predecessor edge's other endpoint, so it is recovered from the
+/// [`CsrGraph`] instead of stored.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PathTree {
+    source: NodeId,
+    /// Edge entering each node on its cheapest path; [`NONE`] for the
+    /// source and for every unreached node.
+    prev_edge: Vec<u32>,
+}
+
+impl PathTree {
+    /// The node the tree was grown from.
+    pub fn source(&self) -> NodeId {
+        self.source
+    }
+
+    /// Nodes and edges of the cheapest `source → target` path, exactly as
+    /// [`csr_dijkstra`] returns them, or `None` if `target` is unreached
+    /// (including out-of-bounds ids). `csr` must be the graph the tree was
+    /// built over.
+    pub fn path_to(&self, csr: &CsrGraph, target: NodeId) -> Option<(Vec<NodeId>, Vec<EdgeId>)> {
+        let entering = *self.prev_edge.get(target.index())?;
+        if entering == NONE && target != self.source {
+            return None;
+        }
+        let mut nodes = vec![target];
+        let mut edges = Vec::new();
+        let mut cur = target;
+        while self.prev_edge[cur.index()] != NONE {
+            let e = EdgeId(self.prev_edge[cur.index()]);
+            // A tree edge is never a self-loop (a loop cannot strictly
+            // lower its own endpoint's distance), so this is the parent.
+            cur = csr.other_endpoint(e, cur);
+            edges.push(e);
+            nodes.push(cur);
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some((nodes, edges))
+    }
+}
+
 /// Slack added to the ALT pruning bound so float rounding in the landmark
 /// lookup can never prune a relaxation that exact arithmetic would keep.
 #[inline]
@@ -212,18 +263,25 @@ fn run(
     Ok(())
 }
 
-/// Full single-source tree into `st`. Costs must be non-negative: the
-/// first NaN or negative cost relaxed anywhere in the source's component
-/// is an error, even on an edge no cheapest path uses; `f64::INFINITY`
-/// masks an edge. Read results with [`SearchState::distance`] /
-/// [`SearchState::path_to`].
+/// Full single-source tree. Costs must be non-negative: the first NaN or
+/// negative cost relaxed anywhere in the source's component is an error,
+/// even on an edge no cheapest path uses; `f64::INFINITY` masks an edge.
+///
+/// The returned [`PathTree`] keeps the routes for reuse across targets;
+/// `st` also holds the search until its next use, so
+/// [`SearchState::distance`] / [`SearchState::path_to`] read the same
+/// tree with distances and costs.
 pub fn csr_shortest_path_tree(
     csr: &CsrGraph,
     st: &mut SearchState,
     source: NodeId,
     mut cost: impl FnMut(EdgeId) -> f64,
-) -> Result<(), GraphError> {
-    run(csr, st, source, None, &mut cost, None, None)
+) -> Result<PathTree, GraphError> {
+    run(csr, st, source, None, &mut cost, None, None)?;
+    Ok(PathTree {
+        source,
+        prev_edge: st.prev_edge[..csr.node_count()].to_vec(),
+    })
 }
 
 /// Cheapest `source → target` path, or `Ok(None)` if disconnected.
@@ -532,6 +590,23 @@ mod tests {
         assert_eq!(p.cost, 2.0);
         assert_eq!((p.source(), p.target()), (NodeId(0), NodeId(2)));
         assert_eq!(st.path_to(NodeId(42)), None);
+    }
+
+    #[test]
+    fn path_tree_keeps_one_u32_per_node() {
+        let mut g = g();
+        let lonely = g.add_node(());
+        let csr = g.to_csr();
+        let tree = csr_shortest_path_tree(&csr, &mut SearchState::new(), NodeId(0), |e| {
+            *g.edge(e)
+        })
+        .unwrap();
+        assert_eq!(tree.prev_edge.len(), csr.node_count());
+        assert_eq!(std::mem::size_of_val(&tree.prev_edge[0]), 4);
+        let (nodes, edges) = tree.path_to(&csr, NodeId(3)).unwrap();
+        assert_eq!(nodes, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+        assert_eq!(edges, vec![EdgeId(0), EdgeId(1), EdgeId(2)]);
+        assert_eq!(tree.path_to(&csr, lonely), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@ mod common;
 use common::{dijkstra, dijkstra_filtered, shortest_path_tree};
 use intertubes_graph::{
     bidirectional_dijkstra, csr_dijkstra, csr_dijkstra_filtered, csr_shortest_path_tree,
-    yen_k_shortest_csr, Landmarks, MultiGraph, NodeId, SearchState, YenWorkspace,
+    yen_k_shortest_csr, EdgeId, Landmarks, MultiGraph, NodeId, SearchState, YenWorkspace,
 };
 use proptest::prelude::*;
 
@@ -160,6 +160,35 @@ proptest! {
                     (u, b) => prop_assert!(false, "{:?}->{:?}: {:?} vs {:?}", s, t, u, b),
                 }
             }
+        }
+    }
+
+    /// A frozen `PathTree` answers every target with exactly the nodes and
+    /// edges of the point query from its source, with banned edges
+    /// (`f64::INFINITY`) masked alike: `None` when unreachable, one node
+    /// when the target is the source. The tree must not alias the scratch
+    /// it was built in, so the point queries reuse that same scratch.
+    #[test]
+    fn path_tree_matches_csr_dijkstra(
+        (g, _n) in arb_graph(),
+        ban in prop::collection::vec(0usize..4, 20..21),
+    ) {
+        let csr = g.to_csr();
+        // About one edge in four is banned.
+        let cost = |e: EdgeId| if ban[e.index()] == 0 { f64::INFINITY } else { *g.edge(e) };
+        let mut st = SearchState::new();
+        for s in g.node_ids() {
+            let tree = csr_shortest_path_tree(&csr, &mut st, s, cost).unwrap();
+            prop_assert_eq!(tree.source(), s);
+            for t in g.node_ids() {
+                let point = csr_dijkstra(&csr, &mut st, s, t, cost).unwrap();
+                let routed = tree.path_to(&csr, t);
+                if s == t {
+                    prop_assert_eq!(&routed, &Some((vec![s], Vec::new())));
+                }
+                prop_assert_eq!(routed, point.map(|p| (p.nodes, p.edges)), "pair {:?}->{:?}", s, t);
+            }
+            prop_assert_eq!(tree.path_to(&csr, NodeId(g.node_count() as u32)), None);
         }
     }
 }

@@ -6,6 +6,8 @@
 //! *reconstructed* from published maps and public records, with provenance
 //! and validation status attached.
 
+use std::collections::HashMap;
+
 use intertubes_geo::{GeoPoint, Polyline};
 use intertubes_graph::{MultiGraph, NodeId};
 use intertubes_records::RowHintKey;
@@ -171,14 +173,17 @@ impl FiberMap {
         self.conduits.iter().map(|c| c.tenants.len()).sum()
     }
 
-    /// All conduits joining two nodes (parallel conduits are distinct).
-    pub fn conduits_between(&self, a: MapNodeId, b: MapNodeId) -> Vec<MapConduitId> {
-        self.conduits
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| (c.a == a && c.b == b) || (c.a == b && c.b == a))
-            .map(|(i, _)| MapConduitId(i as u32))
-            .collect()
+    /// Indexes every conduit by its unordered endpoint pair, so the
+    /// conduits joining two nodes are one lookup instead of a scan.
+    pub fn conduit_pairs(&self) -> ConduitPairs {
+        let mut by_pair: HashMap<(u32, u32), Vec<MapConduitId>> = HashMap::new();
+        for (i, c) in self.conduits.iter().enumerate() {
+            by_pair
+                .entry(pair_key(c.a, c.b))
+                .or_default()
+                .push(MapConduitId(i as u32));
+        }
+        ConduitPairs { by_pair }
     }
 
     /// Distinct provider names present in the map, sorted.
@@ -223,6 +228,28 @@ impl FiberMap {
         }
         g
     }
+}
+
+/// The conduits of a [`FiberMap`] grouped by unordered endpoint pair,
+/// built by [`FiberMap::conduit_pairs`]. Each group lists ids in
+/// ascending order, the order a scan of [`FiberMap::conduits`] meets them,
+/// so "first match" and "last maximum" picks over a group are the scan's.
+#[derive(Debug, Clone, Default)]
+pub struct ConduitPairs {
+    by_pair: HashMap<(u32, u32), Vec<MapConduitId>>,
+}
+
+impl ConduitPairs {
+    /// All conduits joining `a` and `b` in either direction (parallel
+    /// conduits are distinct), ascending; empty when there is none.
+    pub fn between(&self, a: MapNodeId, b: MapNodeId) -> &[MapConduitId] {
+        self.by_pair.get(&pair_key(a, b)).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// The index key of an unordered node pair: `(lower id, higher id)`.
+fn pair_key(a: MapNodeId, b: MapNodeId) -> (u32, u32) {
+    (a.0.min(b.0), a.0.max(b.0))
 }
 
 #[cfg(test)]
@@ -298,8 +325,12 @@ mod tests {
         let m = sample_map();
         let a = m.find_node("Dallas, TX").unwrap();
         let b = m.find_node("Houston, TX").unwrap();
-        assert_eq!(m.conduits_between(a, b).len(), 2);
-        assert_eq!(m.conduits_between(b, a).len(), 2);
+        let c = m.find_node("Austin, TX").unwrap();
+        let pairs = m.conduit_pairs();
+        assert_eq!(pairs.between(a, b), [MapConduitId(0), MapConduitId(1)]);
+        assert_eq!(pairs.between(b, a), [MapConduitId(0), MapConduitId(1)]);
+        assert_eq!(pairs.between(c, b), [MapConduitId(2)]);
+        assert!(pairs.between(a, c).is_empty());
     }
 
     #[test]

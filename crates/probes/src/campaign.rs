@@ -16,10 +16,9 @@
 //!   names) identify a hop's operator only part of the time.
 
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use intertubes_atlas::{CityId, IspTier, World};
-use intertubes_graph::{csr_dijkstra, CsrGraph, EdgeId, NodeId, Path, SearchState};
+use intertubes_graph::{csr_shortest_path_tree, CsrGraph, EdgeId, NodeId, PathTree, SearchState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -93,7 +92,7 @@ struct CarrierTable<'w> {
     world: &'w World,
     /// The conduit graph, frozen once for every route search.
     csr: CsrGraph,
-    /// Search scratch reused across route searches.
+    /// Search scratch reused across tree builds.
     st: SearchState,
     /// Conduit length per edge, km.
     km: Vec<f64>,
@@ -105,8 +104,12 @@ struct CarrierTable<'w> {
     access_weight: Vec<f64>,
     /// Provider weights for transit selection.
     transit_weight: Vec<f64>,
-    /// Path cache: (provider, src, dst) → path (None = unreachable).
-    cache: HashMap<(u16, u32, u32), Option<Rc<Path>>>,
+    /// Shortest-path tree per (provider, source city), grown on first use;
+    /// `None` if the search failed (every target unreachable).
+    trees: HashMap<(u16, u32), Option<PathTree>>,
+    /// Per source city: every city id, nearest first by great-circle
+    /// distance (equal distances keep id order), filled on first use.
+    nearest_first: Vec<Option<Vec<u32>>>,
 }
 
 impl<'w> CarrierTable<'w> {
@@ -155,32 +158,54 @@ impl<'w> CarrierTable<'w> {
             presence,
             access_weight,
             transit_weight,
-            cache: HashMap::new(),
+            trees: HashMap::new(),
+            nearest_first: vec![None; n_cities],
         }
     }
 
-    /// Shortest km-path within provider `isp`'s footprint, cached.
-    fn route(&mut self, isp: usize, src: CityId, dst: CityId) -> Option<Rc<Path>> {
-        let key = (isp as u16, src.0, dst.0);
-        if let Some(hit) = self.cache.get(&key) {
-            return hit.clone();
-        }
-        let (banned, km) = (&self.banned[isp], &self.km);
-        let cost = |e: EdgeId| {
-            if banned[e.index()] {
-                f64::INFINITY
-            } else {
-                km[e.index()]
-            }
-        };
-        // Conduit lengths are finite and non-negative, so the search
-        // cannot fail; a failure would just mean "unreachable".
-        let path = csr_dijkstra(&self.csr, &mut self.st, NodeId(src.0), NodeId(dst.0), cost)
-            .ok()
-            .flatten()
-            .map(Rc::new);
-        self.cache.insert(key, path.clone());
-        path
+    /// Shortest km-path within provider `isp`'s footprint: the cities it
+    /// visits, source first. One tree per (provider, source) answers every
+    /// destination with the path a point query would return.
+    fn route(&mut self, isp: usize, src: CityId, dst: CityId) -> Option<Vec<NodeId>> {
+        let (csr, st, banned, km) = (&self.csr, &mut self.st, &self.banned[isp], &self.km);
+        let tree = self.trees.entry((isp as u16, src.0)).or_insert_with(|| {
+            let cost = |e: EdgeId| {
+                if banned[e.index()] {
+                    f64::INFINITY
+                } else {
+                    km[e.index()]
+                }
+            };
+            // Conduit lengths are finite and non-negative, so the search
+            // cannot fail; a failure would just mean "unreachable".
+            csr_shortest_path_tree(csr, st, NodeId(src.0), cost).ok()
+        });
+        tree.as_ref()?
+            .path_to(csr, NodeId(dst.0))
+            .map(|(nodes, _)| nodes)
+    }
+
+    /// The peering city for an access → transit handoff: the city both
+    /// providers touch that lies nearest `src`, the lowest id on ties.
+    fn peering(&mut self, access: usize, transit: usize, src: CityId) -> Option<CityId> {
+        let cities = &self.world.cities;
+        let order = self.nearest_first[src.index()].get_or_insert_with(|| {
+            let from = cities[src.index()].location;
+            let km: Vec<f64> = cities
+                .iter()
+                .map(|c| c.location.distance_km(&from))
+                .collect();
+            // Distances are finite and non-negative, where `total_cmp`
+            // agrees with `<`; the stable sort keeps id order on ties.
+            let mut order: Vec<u32> = (0..cities.len() as u32).collect();
+            order.sort_by(|&x, &y| km[x as usize].total_cmp(&km[y as usize]));
+            order
+        });
+        let (a, t) = (&self.presence[access], &self.presence[transit]);
+        order
+            .iter()
+            .find(|&&ci| a[ci as usize] && t[ci as usize])
+            .map(|&ci| CityId(ci))
     }
 
     fn weighted_pick(
@@ -222,14 +247,15 @@ struct PlannedRoute {
     tunnel: Option<(usize, usize)>,
 }
 
-fn extend_route(route: &mut PlannedRoute, path: &Path, owner: usize) {
+/// Appends a leg's cities (the first one only if the route is empty) and
+/// one owner entry per segment.
+fn extend_route(route: &mut PlannedRoute, nodes: &[NodeId], owner: usize) {
     let start = if route.cities.is_empty() { 0 } else { 1 };
-    for n in &path.nodes[start..] {
+    for n in &nodes[start..] {
         route.cities.push(CityId(n.0));
     }
-    for _ in &path.edges {
-        route.owners.push(owner);
-    }
+    let segments = nodes.len().saturating_sub(1);
+    route.owners.extend(std::iter::repeat_n(owner, segments));
 }
 
 /// Runs a campaign over the world.
@@ -298,8 +324,7 @@ fn plan_route(
 ) -> Option<PlannedRoute> {
     // Option A: one carrier covers both ends.
     if rng.gen_bool(cfg.single_carrier_rate) {
-        let weights = table.transit_weight.clone();
-        if let Some(isp) = table.weighted_pick(rng, &weights, |i| {
+        if let Some(isp) = table.weighted_pick(rng, &table.transit_weight, |i| {
             table.presence[i][src.index()] && table.presence[i][dst.index()]
         }) {
             if let Some(p) = table.route(isp, src, dst) {
@@ -315,11 +340,11 @@ fn plan_route(
     }
     // Option B: access at the source, transit across, access at the far end
     // when the transit carrier does not reach the destination city.
-    let aw = table.access_weight.clone();
-    let tw = table.transit_weight.clone();
-    let access = table.weighted_pick(rng, &aw, |i| table.presence[i][src.index()])?;
-    let transit =
-        table.weighted_pick(rng, &tw, |i| i != access && table.presence[i][dst.index()])?;
+    let access =
+        table.weighted_pick(rng, &table.access_weight, |i| table.presence[i][src.index()])?;
+    let transit = table.weighted_pick(rng, &table.transit_weight, |i| {
+        i != access && table.presence[i][dst.index()]
+    })?;
     // Handoff: the access provider routes to the nearest city shared with
     // the transit provider (approximated by trying the destination first,
     // then a few of the transit provider's cities near the source).
@@ -335,19 +360,7 @@ fn plan_route(
         return Some(route);
     }
     // Find a peering city: a city where both access and transit are present.
-    let peering = {
-        let src_loc = table.world.cities[src.index()].location;
-        let mut best: Option<(CityId, f64)> = None;
-        for ci in 0..table.world.cities.len() {
-            if table.presence[access][ci] && table.presence[transit][ci] {
-                let d = table.world.cities[ci].location.distance_km(&src_loc);
-                if best.map_or(true, |(_, bd)| d < bd) {
-                    best = Some((CityId(ci as u32), d));
-                }
-            }
-        }
-        best.map(|(c, _)| c)?
-    };
+    let peering = table.peering(access, transit, src)?;
     let leg1 = table.route(access, src, peering)?;
     let leg2 = table.route(transit, peering, dst)?;
     extend_route(&mut route, &leg1, access);

@@ -8,8 +8,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use intertubes_atlas::World;
 use intertubes_degrade::{DegradationAction, DegradationPolicy, DegradationReport};
 use intertubes_geo::GeoPoint;
-use intertubes_graph::{csr_shortest_path_tree, CsrGraph, EdgeId, NodeId, SearchState};
-use intertubes_map::{FiberMap, MapConduitId, MapNodeId};
+use intertubes_graph::{csr_shortest_path_tree, CsrGraph, EdgeId, NodeId, PathTree, SearchState};
+use intertubes_map::{ConduitPairs, FiberMap, MapConduitId, MapNodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::Campaign;
@@ -234,7 +234,7 @@ pub fn overlay_campaign_with_chunk_size(
 ) -> Result<(Overlay, DegradationReport), ProbeError> {
     let mut span = intertubes_obs::stage("overlay");
     span.items("traces", campaign.traces.len());
-    let gaps = GapFill::new(map);
+    let routes = HopRoutes::new(map);
     // Label → map node.
     let node_of: HashMap<&str, MapNodeId> = map
         .nodes
@@ -250,13 +250,13 @@ pub fn overlay_campaign_with_chunk_size(
         .collect();
 
     // Shard fan-out: contiguous trace chunks, each with its own
-    // accumulators, gap cache and search scratch (the cache only memoizes
-    // deterministic path searches, so per-shard caches cannot change any
+    // accumulators, gap-fill trees and search scratch (the trees only
+    // memoize deterministic searches, so per-shard trees cannot change any
     // output).
     let shards: Vec<Result<(Overlay, usize), ProbeError>> = intertubes_parallel::par_chunks_map(
         &campaign.traces,
         chunk_size.max(1),
-        |offset, traces| overlay_shard(world, map, &gaps, &city_to_node, traces, offset, policy),
+        |offset, traces| overlay_shard(world, map, &routes, &city_to_node, traces, offset, policy),
     );
 
     // Merge barrier. Shards cover ascending trace ranges, so the first
@@ -291,31 +291,61 @@ pub fn overlay_campaign_with_chunk_size(
     Ok((overlay, report))
 }
 
-/// The map graph frozen once for the gap-fill searches of every shard.
-struct GapFill {
+/// The map frozen once for every shard: the conduits joining each node
+/// pair, and the graph for the gap-fill searches between hops that share
+/// no conduit.
+struct HopRoutes {
+    direct: ConduitPairs,
     csr: CsrGraph,
     /// Conduit length per edge, km (`map.graph()` adds conduit `i` as
     /// edge `i`).
     km: Vec<f64>,
 }
 
-impl GapFill {
-    fn new(map: &FiberMap) -> GapFill {
-        GapFill {
+impl HopRoutes {
+    fn new(map: &FiberMap) -> HopRoutes {
+        HopRoutes {
+            direct: map.conduit_pairs(),
             csr: map.graph().to_csr(),
             km: map.conduits.iter().map(|c| c.geometry.length_km()).collect(),
         }
     }
+}
 
-    /// Conduits along the cheapest map path `u → v`, or `None` if there
-    /// is none. The search builds `u`'s full tree, so a NaN or negative
-    /// length (dirty map geometry) anywhere in `u`'s component is an
-    /// error: the region is unusable for gap-filling, same as no path.
-    fn path(&self, st: &mut SearchState, u: MapNodeId, v: MapNodeId) -> Option<Vec<MapConduitId>> {
-        let km = |e: EdgeId| self.km[e.index()];
-        csr_shortest_path_tree(&self.csr, st, NodeId(u.0), km).ok()?;
-        let path = st.path_to(NodeId(v.0))?;
-        Some(path.edges.iter().map(|e| MapConduitId(e.0)).collect())
+/// One shard's gap-fill state: search scratch plus the shortest-path tree
+/// of every source node searched so far.
+struct GapTrees<'g> {
+    routes: &'g HopRoutes,
+    st: SearchState,
+    /// Tree per map node, grown on first use; `Some(None)` when the
+    /// node's component holds an invalid length.
+    trees: Vec<Option<Option<PathTree>>>,
+}
+
+impl<'g> GapTrees<'g> {
+    fn new(routes: &'g HopRoutes) -> GapTrees<'g> {
+        GapTrees {
+            routes,
+            st: SearchState::new(),
+            trees: vec![None; routes.csr.node_count()],
+        }
+    }
+
+    /// Conduits along the cheapest map path between `u` and `v`, or `None`
+    /// if there is none. The search always starts at the lower node id,
+    /// so an equal-cost tie resolves the same way whichever endpoint a
+    /// trace meets first. It builds that node's full tree, so a NaN or
+    /// negative length (dirty map geometry) anywhere in the component is
+    /// an error: the region is unusable for gap-filling, same as no path.
+    fn path(&mut self, u: MapNodeId, v: MapNodeId) -> Option<Vec<MapConduitId>> {
+        let (lo, hi) = (u.min(v), u.max(v));
+        let (routes, st) = (self.routes, &mut self.st);
+        let tree = self.trees[lo.index()].get_or_insert_with(|| {
+            let km = |e: EdgeId| routes.km[e.index()];
+            csr_shortest_path_tree(&routes.csr, st, NodeId(lo.0), km).ok()
+        });
+        let (_, edges) = tree.as_ref()?.path_to(&routes.csr, NodeId(hi.0))?;
+        Some(edges.iter().map(|e| MapConduitId(e.0)).collect())
     }
 }
 
@@ -324,15 +354,14 @@ impl GapFill {
 fn overlay_shard(
     world: &World,
     map: &FiberMap,
-    gaps: &GapFill,
+    routes: &HopRoutes,
     city_to_node: &[Option<MapNodeId>],
     traces: &[crate::campaign::Traceroute],
     offset: usize,
     policy: DegradationPolicy,
 ) -> Result<(Overlay, usize), ProbeError> {
     let n = map.conduits.len();
-    let mut st = SearchState::new();
-    let mut gap_cache: HashMap<(u32, u32), Option<Vec<MapConduitId>>> = HashMap::new();
+    let mut gaps = GapTrees::new(routes);
 
     let mut conduit_freq = vec![0u64; n];
     let mut west_east = vec![0u64; n];
@@ -384,7 +413,7 @@ fn overlay_shard(
                 continue;
             }
             // Conduits for this hop pair: direct conduit or map-path.
-            let direct = map.conduits_between(u, v);
+            let direct = routes.direct.between(u, v);
             // Prefer a conduit whose tenants include the hinted operator;
             // fall back to the busiest.
             let hinted = hint_u.or(hint_v);
@@ -398,19 +427,17 @@ fn overlay_shard(
                     direct
                         .iter()
                         .max_by_key(|c| map.conduits[c.index()].tenant_count())
-                })
-                .copied();
-            let conduits: Vec<MapConduitId> = if let Some(chosen) = chosen {
-                vec![chosen]
-            } else {
-                let key = (u.0.min(v.0), u.0.max(v.0));
-                let path = gap_cache
-                    .entry(key)
-                    .or_insert_with(|| gaps.path(&mut st, u, v));
-                match path {
-                    Some(p) => p.clone(),
+                });
+            let gap_path;
+            let conduits: &[MapConduitId] = match chosen {
+                Some(chosen) => std::slice::from_ref(chosen),
+                None => match gaps.path(u, v) {
+                    Some(p) => {
+                        gap_path = p;
+                        &gap_path
+                    }
                     None => continue,
-                }
+                },
             };
             for cid in conduits {
                 let i = cid.index();
@@ -420,12 +447,19 @@ fn overlay_shard(
                     Direction::EastToWest => east_west[i] += 1,
                     Direction::Meridional => {}
                 }
+                // Allocate a hint's name only the first time a set sees it.
                 for hint in [hint_u, hint_v].into_iter().flatten() {
-                    observed_isps[i].insert(hint.to_string());
-                    isp_conduits
-                        .entry(hint.to_string())
-                        .or_default()
-                        .insert(i as u32);
+                    if !observed_isps[i].contains(hint) {
+                        observed_isps[i].insert(hint.to_owned());
+                    }
+                    match isp_conduits.get_mut(hint) {
+                        Some(set) => {
+                            set.insert(i as u32);
+                        }
+                        None => {
+                            isp_conduits.insert(hint.to_owned(), BTreeSet::from([i as u32]));
+                        }
+                    }
                 }
                 any = true;
             }
@@ -500,13 +534,15 @@ mod tests {
         let d = map.ensure_node("D, DD", p(30.0, -97.0));
         map.conduits.push(conduit(a, b, Polyline::straight(p(30.0, -100.0), p(30.0, -99.0))));
         map.conduits.push(conduit(b, c, Polyline::straight(p(30.0, -99.0), p(30.0, -98.0))));
-        let mut st = SearchState::new();
-        let clean = GapFill::new(&map).path(&mut st, a, c);
+        let routes = HopRoutes::new(&map);
+        let clean = GapTrees::new(&routes).path(a, c);
         assert_eq!(clean, Some(vec![MapConduitId(0), MapConduitId(1)]));
+        // Searched from the lower id whichever endpoint comes first.
+        assert_eq!(GapTrees::new(&routes).path(c, a), clean);
         // A NaN-length conduit beyond the target: a search stopping when
         // `c` settles would never relax it, but the region is unusable.
         map.conduits.push(conduit(c, d, Polyline::straight(p(f64::NAN, -98.0), p(30.0, -97.0))));
-        assert_eq!(GapFill::new(&map).path(&mut st, a, c), None);
+        assert_eq!(GapTrees::new(&HopRoutes::new(&map)).path(a, c), None);
     }
 
     #[test]

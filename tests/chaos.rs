@@ -9,9 +9,12 @@
 //! flips, transient I/O) through [`save_with`] / [`load_with`] over a
 //! [`ChaosSession`] acting as the `SnapshotIo` layer.
 
+mod common;
+
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
+
+use common::ScratchDir;
 
 use intertubes::degrade::DegradationPolicy;
 use intertubes::faults::{FaultFamily, FaultPlan};
@@ -103,19 +106,13 @@ fn chaos_battery_is_byte_identical_across_threads_and_policies() {
     }
 }
 
-/// A scratch file path under the OS temp dir, unique per test.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("intertubes-chaos-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
-
 /// Kill-during-save acceptance: with every write torn, the crash-safe
 /// save exhausts its retries — and the previously published snapshot is
 /// untouched and still loads.
 #[test]
 fn torn_writes_never_corrupt_the_published_snapshot() {
-    let path = scratch("torn.snap");
+    let dir = ScratchDir::new("chaos-torn");
+    let path = dir.join("torn.snap");
     let snap = snapshot();
     snap.save(&path).unwrap();
     let good_bytes = std::fs::read(&path).unwrap();
@@ -146,7 +143,8 @@ fn corrupt_primary_salvages_tmp_then_bak() {
     let good = snapshot().to_bytes().unwrap();
 
     // tmp candidate wins when present.
-    let p1 = scratch("salvage-tmp.snap");
+    let dir = ScratchDir::new("chaos-salvage");
+    let p1 = dir.join("salvage-tmp.snap");
     std::fs::write(&p1, b"garbage, not a snapshot").unwrap();
     std::fs::write(p1.with_extension("snap.tmp"), &good).unwrap();
     let report = load_with(&RealIo, &p1, &RetryPolicy::lenient()).unwrap();
@@ -154,7 +152,7 @@ fn corrupt_primary_salvages_tmp_then_bak() {
     assert!(report.salvaged());
 
     // bak candidate when there is no tmp.
-    let p2 = scratch("salvage-bak.snap");
+    let p2 = dir.join("salvage-bak.snap");
     std::fs::write(&p2, b"garbage, not a snapshot").unwrap();
     std::fs::write(p2.with_extension("snap.bak"), &good).unwrap();
     let report = load_with(&RealIo, &p2, &RetryPolicy::lenient()).unwrap();
@@ -170,7 +168,8 @@ fn corrupt_primary_salvages_tmp_then_bak() {
 /// bytes and keeps the previous file as `.bak`.
 #[test]
 fn successful_save_preserves_the_previous_snapshot_as_bak() {
-    let path = scratch("atomic.snap");
+    let dir = ScratchDir::new("chaos-atomic");
+    let path = dir.join("atomic.snap");
     let snap = snapshot();
     snap.save(&path).unwrap();
     let first = std::fs::read(&path).unwrap();
@@ -185,7 +184,8 @@ fn successful_save_preserves_the_previous_snapshot_as_bak() {
 /// within the budget when the fault misses a later draw.
 #[test]
 fn transient_io_faults_retry_and_recover() {
-    let path = scratch("transient.snap");
+    let dir = ScratchDir::new("chaos-transient");
+    let path = dir.join("transient.snap");
     snapshot().save(&path).unwrap();
     let mut recovered = false;
     for seed in 0..64u64 {
@@ -359,8 +359,7 @@ fn health_machine_degrades_recovers_and_drains() {
 /// chaos report artifact, and embeds the health trace in the manifest.
 #[test]
 fn cli_serve_chaos_writes_report_and_manifest_health() {
-    let dir = std::env::temp_dir().join(format!("intertubes-chaos-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("chaos-cli");
     let snap_path = dir.join("study.snap");
     // A tiny world keeps the pipeline build fast enough for a CLI test.
     snapshot().save(&snap_path).unwrap();
@@ -461,14 +460,8 @@ fn digest(text: &str) -> String {
 /// attempt counts and candidate labels are kept), and the report carries
 /// the load fields the way `serve --chaos` fills them in.
 fn golden_round(name: &str, plan: &FaultPlan, policy: DegradationPolicy) -> (String, String) {
-    let path = scratch(&format!("golden-{name}-{policy:?}.snap"));
-    let files = [path.clone(), path.with_extension("snap.tmp"), path.with_extension("snap.bak")];
-    let clear = || {
-        for f in &files {
-            let _ = std::fs::remove_file(f);
-        }
-    };
-    clear();
+    let dir = ScratchDir::new(&format!("chaos-golden-{name}-{policy:?}"));
+    let path = dir.join("golden.snap");
     snapshot().save(&path).unwrap();
     let session = ChaosSession::new(plan.clone(), policy);
     let retry = session.retry_policy();
@@ -487,7 +480,6 @@ fn golden_round(name: &str, plan: &FaultPlan, policy: DegradationPolicy) -> (Str
         }
         Err(_) => (snapshot().clone(), None),
     };
-    clear();
     let eng = QueryEngine::new(snap);
     let queries = mixed_workload(snapshot(), REPLAY, SEED);
     let cfg = serve_cfg();

@@ -13,12 +13,16 @@
 //! [`ScenarioError`]s from `from_json`, and the CLI's `scenario`
 //! subcommand exits 2 (the usage/invalid-invocation class) on them.
 
+mod common;
+
 use std::process::Command;
 use std::sync::OnceLock;
 
 use intertubes::scenario::{ScenarioError, ScenarioPlan};
 use intertubes::serve::{QueryEngine, StudySnapshot};
 use intertubes::Study;
+
+use common::ScratchDir;
 
 /// The frozen reference snapshot at the CLI's probe count (10 k): golden
 /// reports must digest-match what `intertubes snapshot` + `intertubes
@@ -139,8 +143,7 @@ fn from_json_rejects_malformed_plans_with_typed_errors() {
 /// (data error) when the plan file itself is unreadable.
 #[test]
 fn cli_scenario_exits_2_on_invalid_plan() {
-    let dir = std::env::temp_dir().join("intertubes-scenario-goldens");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let dir = ScratchDir::new("scenario-cli");
     let bad_path = dir.join("bad-plan.json");
     let bad = valid_plan_json().replace(
         "\"Weibull\": { \"shape\": 1.8, \"scale\": 0.6 }",

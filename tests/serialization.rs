@@ -10,10 +10,14 @@
 //!
 //! [`SnapshotError`]: intertubes::serve::SnapshotError
 
+mod common;
+
 use intertubes::serve::{
     fnv1a64, section_bounds, SnapshotError, StudySnapshot, SNAPSHOT_MAGIC, SNAPSHOT_SCHEMA,
 };
 use intertubes::{IntertubesError, Study, StudyConfig};
+
+use common::ScratchDir;
 
 #[test]
 fn study_config_round_trips() {
@@ -370,8 +374,7 @@ fn snapshot_errors_join_the_workspace_taxonomy() {
 /// a diagnostic — never a panic (PR-1 contract).
 #[test]
 fn cli_rejects_bad_snapshots_with_exit_3() {
-    let dir = std::env::temp_dir().join("intertubes-serialization-test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("serialization-cli");
     let v2 = tiny_snapshot().to_bytes().unwrap();
     let mut v2_corrupt = v2.clone();
     let last = v2_corrupt.len() - 1;
