@@ -19,7 +19,7 @@
 //! provider.
 
 use intertubes_geo::{GeoPoint, Polyline};
-use intertubes_graph::{bridges, csr_dijkstra, EdgeId, MultiGraph, NodeId, SearchState};
+use intertubes_graph::{bridges, csr_shortest_path_tree, EdgeId, MultiGraph, NodeId, SearchState};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -414,6 +414,11 @@ fn cities_loc(net: &TransportNetwork, n: NodeId) -> GeoPoint {
 /// Samples city pairs with probability proportional to population product
 /// and counts how often each draft conduit lies on the km-shortest path.
 /// Returns log-compressed counts.
+///
+/// All pairs are drawn first, so the RNG stream is the same as drawing
+/// and routing them one at a time. The pairs are then routed from one
+/// shortest-path tree per distinct source; a tree's path to a target is
+/// exactly the path a point query returns.
 fn sampled_betweenness(
     cities: &[City],
     edges: &[(NodeId, NodeId, f64)],
@@ -443,17 +448,27 @@ fn sampled_betweenness(
         let x: f64 = rng.gen();
         cumulative.partition_point(|&c| c < x).min(cities.len() - 1)
     };
-    let mut counts = vec![0u32; edges.len()];
     const SAMPLES: usize = 800;
-    for _ in 0..SAMPLES {
-        let s = sample_city(rng);
-        let t = sample_city(rng);
-        if s == t {
+    let mut pairs: Vec<(u32, u32)> = (0..SAMPLES)
+        .map(|_| {
+            let s = sample_city(rng);
+            let t = sample_city(rng);
+            (s as u32, t as u32)
+        })
+        .filter(|(s, t)| s != t)
+        .collect();
+    // Counts are sums, so routing in source order changes nothing.
+    pairs.sort_unstable();
+    let mut counts = vec![0u32; edges.len()];
+    for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+        let Ok(tree) = csr_shortest_path_tree(&csr, &mut st, NodeId(group[0].0), km) else {
             continue;
-        }
-        if let Ok(Some(p)) = csr_dijkstra(&csr, &mut st, NodeId(s as u32), NodeId(t as u32), km) {
-            for e in p.edges {
-                counts[e.index()] += 1;
+        };
+        for &(_, t) in group {
+            if let Some((_, path)) = tree.path_to(&csr, NodeId(t)) {
+                for e in path {
+                    counts[e.index()] += 1;
+                }
             }
         }
     }

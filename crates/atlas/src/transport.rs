@@ -17,6 +17,13 @@
 //! Corridor geometry is a jittered great-circle path (roads are nearly
 //! direct; rails meander a little more), so the corridor-overlap analysis
 //! has realistic, non-identical polylines to work with.
+//!
+//! Cost: the road layer reads one all-pairs distance table (n² haversines,
+//! each city's neighbours sorted nearest-first). The Gabriel test of a
+//! pair only tries cities the triangle inequality lets through, and its
+//! first blocker usually ends the test, so the scan is close to one
+//! midpoint per pair rather than n haversines per pair; the 2-nearest
+//! links are a prefix of the sorted lists.
 
 use intertubes_geo::{CorridorLayer, GeoPoint, Polyline};
 use intertubes_graph::{csr_dijkstra, MultiGraph, NodeId, SearchState};
@@ -91,43 +98,124 @@ impl TransportNetwork {
     }
 }
 
+/// Slack on the triangle-inequality bound of [`gabriel_pairs`], km. It
+/// absorbs rounding in the haversine and midpoint arithmetic, which is
+/// many orders of magnitude smaller, so the bound never drops a city that
+/// the exact predicate would count as a blocker.
+const PRUNE_SLACK_KM: f64 = 1e-3;
+
+/// Great-circle distances between every ordered pair of cities, with each
+/// city's neighbours sorted nearest-first. Built once per road network and
+/// read by both [`gabriel_pairs`] and [`knn_pairs`].
+struct Proximity {
+    n: usize,
+    /// `dist[u * n + v]` is exactly `cities[u].location.distance_km(&cities[v].location)`.
+    dist: Vec<f64>,
+    /// Row `u` (`n - 1` entries) holds every other city ordered by
+    /// (distance from `u`, index).
+    nearest: Vec<u32>,
+}
+
+impl Proximity {
+    fn new(cities: &[City]) -> Proximity {
+        let n = cities.len();
+        let mut dist = Vec::with_capacity(n * n);
+        for a in cities {
+            dist.extend(cities.iter().map(|b| a.location.distance_km(&b.location)));
+        }
+        let mut nearest = Vec::with_capacity(n * n.saturating_sub(1));
+        for u in 0..n {
+            let row = &dist[u * n..(u + 1) * n];
+            let start = nearest.len();
+            nearest.extend((0..n as u32).filter(|&v| v as usize != u));
+            nearest[start..].sort_unstable_by(|&a, &b| {
+                row[a as usize].total_cmp(&row[b as usize]).then(a.cmp(&b))
+            });
+        }
+        Proximity { n, dist, nearest }
+    }
+
+    fn d(&self, u: usize, v: usize) -> f64 {
+        self.dist[u * self.n + v]
+    }
+
+    /// Every city but `u`, nearest to `u` first.
+    fn nearest(&self, u: usize) -> &[u32] {
+        let m = self.n - 1;
+        &self.nearest[u * m..(u + 1) * m]
+    }
+
+    /// The prefix of [`Proximity::nearest`] closer to `u` than `reach` km.
+    fn within(&self, u: usize, reach: f64) -> &[u32] {
+        let row = self.nearest(u);
+        &row[..row.partition_point(|&w| self.d(u, w as usize) < reach)]
+    }
+
+    /// Gabriel pairs: `(u, v)` is an edge iff no third city lies strictly
+    /// inside the circle with diameter `uv` (by `1e-9` km).
+    ///
+    /// A blocker `w` lies within `r` of the midpoint, so by the triangle
+    /// inequality both `d(u, w)` and `d(v, w)` are below `d(u, v)` (plus
+    /// [`PRUNE_SLACK_KM`]). Only cities that pass that bound, read from the
+    /// shorter of the two endpoints' sorted lists, reach the exact
+    /// midpoint predicate; the midpoint is computed only if one does.
+    fn gabriel(&self, cities: &[City]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for u in 0..self.n {
+            for v in u + 1..self.n {
+                let duv = self.d(u, v);
+                let reach = duv + PRUNE_SLACK_KM;
+                let (from_u, from_v) = (self.within(u, reach), self.within(v, reach));
+                let (other, candidates) = if from_u.len() <= from_v.len() {
+                    (v, from_u)
+                } else {
+                    (u, from_v)
+                };
+                let r = duv / 2.0;
+                let mut mid = None;
+                let blocked = candidates.iter().any(|&w| {
+                    let w = w as usize;
+                    if w == other || self.d(other, w) >= reach {
+                        return false;
+                    }
+                    let mid = *mid
+                        .get_or_insert_with(|| cities[u].location.midpoint(&cities[v].location));
+                    cities[w].location.distance_km(&mid) < r - 1e-9
+                });
+                if !blocked {
+                    out.push((u, v));
+                }
+            }
+        }
+        out
+    }
+
+    /// Each city's `k` nearest-neighbour pairs, normalized to `u < v`,
+    /// sorted and deduplicated. Ties in distance go to the lower index.
+    fn knn(&self, k: usize) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for u in 0..self.n {
+            for &v in self.nearest(u).iter().take(k) {
+                let v = v as usize;
+                out.push((u.min(v), u.max(v)));
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+}
+
 /// Returns all Gabriel-graph pairs over the cities: `(u, v)` is an edge iff
 /// no third city lies inside the circle with diameter `uv`.
 pub fn gabriel_pairs(cities: &[City]) -> Vec<(usize, usize)> {
-    let n = cities.len();
-    let mut out = Vec::new();
-    for u in 0..n {
-        for v in u + 1..n {
-            let mid = cities[u].location.midpoint(&cities[v].location);
-            let r = cities[u].location.distance_km(&cities[v].location) / 2.0;
-            let blocked =
-                (0..n).any(|w| w != u && w != v && cities[w].location.distance_km(&mid) < r - 1e-9);
-            if !blocked {
-                out.push((u, v));
-            }
-        }
-    }
-    out
+    Proximity::new(cities).gabriel(cities)
 }
 
 /// Returns each city's `k` nearest-neighbour pairs (deduplicated,
-/// normalized to `u < v`).
+/// normalized to `u < v`). Ties in distance go to the lower index.
 pub fn knn_pairs(cities: &[City], k: usize) -> Vec<(usize, usize)> {
-    let n = cities.len();
-    let mut out = Vec::new();
-    for u in 0..n {
-        let mut dists: Vec<(usize, f64)> = (0..n)
-            .filter(|&v| v != u)
-            .map(|v| (v, cities[u].location.distance_km(&cities[v].location)))
-            .collect();
-        dists.sort_by(|a, b| a.1.total_cmp(&b.1));
-        for (v, _) in dists.into_iter().take(k) {
-            out.push((u.min(v), u.max(v)));
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
+    Proximity::new(cities).knn(k)
 }
 
 /// A corridor path between `a` and `b`: the great circle with `waypoints`
@@ -254,8 +342,9 @@ fn build_network(
 
 /// Builds the roadway network: Gabriel graph ∪ 2-nearest-neighbour links.
 pub fn build_road_network(cities: &[City], rng: &mut StdRng) -> TransportNetwork {
-    let mut pairs = gabriel_pairs(cities);
-    pairs.extend(knn_pairs(cities, 2));
+    let proximity = Proximity::new(cities);
+    let mut pairs = proximity.gabriel(cities);
+    pairs.extend(proximity.knn(2));
     pairs.sort_unstable();
     pairs.dedup();
     build_network(cities, CorridorLayer::Road, &pairs, rng, 0.03)

@@ -50,8 +50,8 @@ pub use landmarks::{Landmarks, DEFAULT_LANDMARK_COUNT};
 pub use multigraph::{EdgeId, EdgeRef, MultiGraph, NodeId};
 pub use path::Path;
 pub use search::{
-    bidirectional_dijkstra, csr_dijkstra, csr_dijkstra_filtered, csr_shortest_path_tree, PathTree,
-    SearchState,
+    bidirectional_dijkstra, csr_dijkstra, csr_dijkstra_filtered, csr_nearest_member,
+    csr_shortest_path_tree, PathTree, SearchState,
 };
 pub use yen::{yen_k_shortest_csr, YenWorkspace};
 
