@@ -201,9 +201,7 @@ impl World {
 fn perturb_geometry(rng: &mut StdRng, geometry: &Polyline, max_km: f64) -> Polyline {
     // The 60 km step is a positive constant, so densify cannot fail; fall
     // back to the undensified geometry rather than panicking regardless.
-    let dense = geometry
-        .densify(60.0)
-        .unwrap_or_else(|_| geometry.clone());
+    let dense = geometry.densify(60.0).unwrap_or_else(|_| geometry.clone());
     let pts = dense.points();
     let n = pts.len();
     let mut out = Vec::with_capacity(n);

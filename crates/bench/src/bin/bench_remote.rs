@@ -72,11 +72,10 @@ fn main() {
             let server = spawn_server(&snap, cache_on);
             let addr = server.addr();
             let t = Instant::now();
-            let responses =
-                match run_clients(addr, "bench", "study", &queries, clients) {
-                    Ok(r) => r,
-                    Err(e) => fail(&format!("remote replay failed: {e}")),
-                };
+            let responses = match run_clients(addr, "bench", "study", &queries, clients) {
+                Ok(r) => r,
+                Err(e) => fail(&format!("remote replay failed: {e}")),
+            };
             let wall_ms = t.elapsed().as_secs_f64() * 1e3;
             let report = match server.stop() {
                 Ok(r) => r,

@@ -229,9 +229,24 @@ mod tests {
     #[test]
     fn notes_aggregate_by_key() {
         let mut r = DegradationReport::new();
-        r.note("map.step1", DegradationAction::Dropped, "invalid-coordinate", 2);
-        r.note("map.step1", DegradationAction::Dropped, "invalid-coordinate", 3);
-        r.note("map.step1", DegradationAction::Repaired, "invalid-coordinate", 1);
+        r.note(
+            "map.step1",
+            DegradationAction::Dropped,
+            "invalid-coordinate",
+            2,
+        );
+        r.note(
+            "map.step1",
+            DegradationAction::Dropped,
+            "invalid-coordinate",
+            3,
+        );
+        r.note(
+            "map.step1",
+            DegradationAction::Repaired,
+            "invalid-coordinate",
+            1,
+        );
         r.note("overlay", DegradationAction::Dropped, "unroutable", 0);
         assert_eq!(r.events.len(), 2);
         assert_eq!(r.total(DegradationAction::Dropped), 5);
@@ -258,7 +273,12 @@ mod tests {
     fn render_mentions_every_event() {
         let mut r = DegradationReport::new();
         assert!(r.render().contains("clean"));
-        r.note("map.step2", DegradationAction::Unvalidated, "no-evidence", 7);
+        r.note(
+            "map.step2",
+            DegradationAction::Unvalidated,
+            "no-evidence",
+            7,
+        );
         let text = r.render();
         assert!(text.contains("map.step2"));
         assert!(text.contains("no-evidence"));
@@ -291,8 +311,7 @@ mod tests {
         // And events come out in canonical key order.
         for w in ab.events.windows(2) {
             assert!(
-                (&w[0].stage, w[0].action, &w[0].reason)
-                    < (&w[1].stage, w[1].action, &w[1].reason)
+                (&w[0].stage, w[0].action, &w[0].reason) < (&w[1].stage, w[1].action, &w[1].reason)
             );
         }
     }

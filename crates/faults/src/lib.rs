@@ -305,7 +305,12 @@ impl FaultPlan {
 
     /// Builder: appends one fault spec targeting a snapshot section
     /// (meaningful for [`FaultFamily::SnapshotBitFlip`]).
-    pub fn with_section(mut self, family: FaultFamily, rate: f64, section: SnapshotSection) -> Self {
+    pub fn with_section(
+        mut self,
+        family: FaultFamily,
+        rate: f64,
+        section: SnapshotSection,
+    ) -> Self {
         self.faults.push(FaultSpec {
             family,
             rate,
@@ -635,8 +640,8 @@ pub struct Injector {
 impl Injector {
     /// Binds `plan`, resolving every family's rate once.
     pub fn new(plan: FaultPlan) -> Injector {
-        let streams = FaultFamily::ALL
-            .map(|f| (plan.rate(f), StdRng::seed_from_u64(plan.stream_seed(f))));
+        let streams =
+            FaultFamily::ALL.map(|f| (plan.rate(f), StdRng::seed_from_u64(plan.stream_seed(f))));
         Injector {
             plan,
             streams,
@@ -724,7 +729,11 @@ fn strip_geometry(maps: &mut [PublishedMap], inj: &mut Injector) {
             }
         }
     }
-    inj.ledger.record(FaultFamily::StripGeometry, touched, "links stripped of geometry");
+    inj.ledger.record(
+        FaultFamily::StripGeometry,
+        touched,
+        "links stripped of geometry",
+    );
 }
 
 /// Inserts bitwise-identical copies of selected geocoded links.
@@ -746,7 +755,8 @@ fn duplicate_links(maps: &mut [PublishedMap], inj: &mut Injector) {
         touched += copies.len();
         map.links.extend(copies);
     }
-    inj.ledger.record(FaultFamily::DuplicateLinks, touched, "links duplicated");
+    inj.ledger
+        .record(FaultFamily::DuplicateLinks, touched, "links duplicated");
 }
 
 /// Deletes selected links outright (the map is silently incomplete).
@@ -759,7 +769,8 @@ fn drop_links(maps: &mut [PublishedMap], inj: &mut Injector) {
             !dropped
         });
     }
-    inj.ledger.record(FaultFamily::DropLinks, touched, "links dropped");
+    inj.ledger
+        .record(FaultFamily::DropLinks, touched, "links dropped");
 }
 
 // ---------------------------------------------------------------------------
@@ -788,17 +799,14 @@ fn corrupt_documents(docs: &mut [Document], inj: &mut Injector) {
             // Replace the "City, ST" label with marker + scrambled text:
             // the marker makes detection exact, the scramble (comma
             // removed) defeats naive label parsing too.
-            let scrambled: String = city
-                .chars()
-                .rev()
-                .filter(|c| *c != ',')
-                .collect();
+            let scrambled: String = city.chars().rev().filter(|c| *c != ',').collect();
             *city = format!("{CORRUPT_MARKER}{scrambled}");
         }
         doc.body = format!("{CORRUPT_MARKER} {}", doc.body);
         touched += 1;
     }
-    inj.ledger.record(FaultFamily::CorruptDocuments, touched, "documents garbled");
+    inj.ledger
+        .record(FaultFamily::CorruptDocuments, touched, "documents garbled");
 }
 
 /// Appends documents that contradict an existing right-of-way hint: the
@@ -835,7 +843,8 @@ fn contradict_documents(docs: &mut Vec<Document>, inj: &mut Injector) {
         added.push(forged);
     }
     let family = FaultFamily::ContradictoryDocuments;
-    inj.ledger.record(family, added.len(), "contradicting documents added");
+    inj.ledger
+        .record(family, added.len(), "contradicting documents added");
     docs.extend(added);
 }
 
@@ -914,7 +923,8 @@ fn corrupt_trace_endpoints(campaign: &mut Campaign, city_count: usize, inj: &mut
         }
         touched += 1;
     }
-    inj.ledger.record(family, touched, "trace endpoints corrupted");
+    inj.ledger
+        .record(family, touched, "trace endpoints corrupted");
 }
 
 // ---------------------------------------------------------------------------
@@ -994,7 +1004,9 @@ mod tests {
             .with(FaultFamily::DropLinks, 0.7)
             .with(FaultFamily::DropLinks, 0.6);
         assert_eq!(plan.rate(FaultFamily::DropLinks), 1.0);
-        assert!(FaultPlan::new(1).with(FaultFamily::DropLinks, -1.0).is_empty());
+        assert!(FaultPlan::new(1)
+            .with(FaultFamily::DropLinks, -1.0)
+            .is_empty());
     }
 
     #[test]
@@ -1015,7 +1027,10 @@ mod tests {
             assert!(!inj.fires(family));
             assert!(!plan.fires_at(family, 0, 0));
         }
-        assert_eq!(inj.streams, fresh.streams, "a zero-rate family must draw nothing");
+        assert_eq!(
+            inj.streams, fresh.streams,
+            "a zero-rate family must draw nothing"
+        );
 
         let pristine = sample_maps();
         let mut maps = sample_maps();
@@ -1025,7 +1040,11 @@ mod tests {
             format!("{pristine:?}"),
             "zero-rate injection must leave the maps untouched"
         );
-        assert_eq!(inj.ledger.total(), 0, "zero-rate injection must log nothing");
+        assert_eq!(
+            inj.ledger.total(),
+            0,
+            "zero-rate injection must log nothing"
+        );
     }
 
     #[test]
@@ -1037,11 +1056,18 @@ mod tests {
             (0..400).map(|i| plan.fires_at(family, i / 40, i)).collect()
         };
         let torn = fired(&plan, FaultFamily::TornFrame);
-        assert_eq!(torn, fired(&plan, FaultFamily::TornFrame), "same plan, same draws");
+        assert_eq!(
+            torn,
+            fired(&plan, FaultFamily::TornFrame),
+            "same plan, same draws"
+        );
         let n = torn.iter().filter(|f| **f).count();
         assert!(n > 0 && n < 400, "rate 0.25 fired {n} of 400 times");
         // A different seed, or another family, decides differently.
-        let reseeded = FaultPlan { seed: 78, ..plan.clone() };
+        let reseeded = FaultPlan {
+            seed: 78,
+            ..plan.clone()
+        };
         assert_ne!(torn, fired(&reseeded, FaultFamily::TornFrame));
         let loris = plan.clone().with(FaultFamily::SlowLoris, 0.25);
         assert_ne!(torn, fired(&loris, FaultFamily::SlowLoris));
@@ -1088,7 +1114,11 @@ mod tests {
         let mut maps = sample_maps();
         let mut inj = Injector::new(FaultPlan::new(9).with(FaultFamily::StripGeometry, 0.3));
         inject_published_maps(&mut maps, &mut inj);
-        let stripped = maps[0].links.iter().filter(|l| l.geometry.is_none()).count();
+        let stripped = maps[0]
+            .links
+            .iter()
+            .filter(|l| l.geometry.is_none())
+            .count();
         assert!(stripped > 0);
         assert_eq!(stripped, inj.ledger.count(FaultFamily::StripGeometry));
     }
@@ -1158,7 +1188,10 @@ mod tests {
             .iter()
             .filter(|d| d.row == Some(RowHint::Rail))
             .count();
-        assert_eq!(originals_rail, ledger.count(FaultFamily::ContradictoryDocuments));
+        assert_eq!(
+            originals_rail,
+            ledger.count(FaultFamily::ContradictoryDocuments)
+        );
     }
 
     #[test]
@@ -1195,10 +1228,16 @@ mod tests {
         // `chaos-everything`.
         for (i, family) in FaultFamily::ALL.into_iter().enumerate() {
             // `Injector` indexes its streams by discriminant.
-            assert_eq!(family as usize, i, "ALL must list families in declaration order");
+            assert_eq!(
+                family as usize, i,
+                "ALL must list families in declaration order"
+            );
             let input = everything.rate(family) > 0.0;
             let runtime = chaos_everything.rate(family) > 0.0;
-            assert!(input != runtime, "{family}: input {input}, runtime {runtime}");
+            assert!(
+                input != runtime,
+                "{family}: input {input}, runtime {runtime}"
+            );
         }
         for (_, plan) in scenarios.iter().chain(chaos.iter()) {
             let back = FaultPlan::from_json(&plan.to_json()).unwrap();

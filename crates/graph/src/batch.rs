@@ -36,7 +36,10 @@ pub fn par_shortest_paths_csr(
 ) -> Vec<Result<Option<Path>, GraphError>> {
     intertubes_obs::counter("graph.shortest_path_queries", pairs.len() as u64);
     let n = csr.node_count();
-    let oob = |id: NodeId| GraphError::NodeOutOfBounds { index: id.0, nodes: n };
+    let oob = |id: NodeId| GraphError::NodeOutOfBounds {
+        index: id.0,
+        nodes: n,
+    };
     // Group pair indices by source; BTreeMap keeps grouping deterministic.
     let mut by_source: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
     for (i, &(s, _)) in pairs.iter().enumerate() {
@@ -146,8 +149,7 @@ mod tests {
     fn batch_matches_serial_yen() {
         let g = ring(8);
         let csr = g.to_csr();
-        let pairs: Vec<(NodeId, NodeId)> =
-            (1..8u32).map(|b| (NodeId(0), NodeId(b))).collect();
+        let pairs: Vec<(NodeId, NodeId)> = (1..8u32).map(|b| (NodeId(0), NodeId(b))).collect();
         let cost = |e: EdgeId| *g.edge(e);
         let lm = Landmarks::build(&csr, 4, cost).ok();
         let batch = par_yen_k_shortest_csr(&csr, &pairs, 3, cost, lm.as_ref());
@@ -167,7 +169,10 @@ mod tests {
             batch[0],
             Err(GraphError::NodeOutOfBounds { index: 99, .. })
         ));
-        assert_eq!(batch[1].as_ref().map(|p| p.as_ref().map(|p| p.cost)), Ok(Some(1.0)));
+        assert_eq!(
+            batch[1].as_ref().map(|p| p.as_ref().map(|p| p.cost)),
+            Ok(Some(1.0))
+        );
     }
 
     #[test]

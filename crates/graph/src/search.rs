@@ -531,9 +531,13 @@ mod tests {
 
     /// One point query over `g` with its stored edge weights.
     fn query(g: &MultiGraph<(), f64>, s: u32, t: u32) -> Result<Option<Path>, GraphError> {
-        csr_dijkstra(&g.to_csr(), &mut SearchState::new(), NodeId(s), NodeId(t), |e| {
-            *g.edge(e)
-        })
+        csr_dijkstra(
+            &g.to_csr(),
+            &mut SearchState::new(),
+            NodeId(s),
+            NodeId(t),
+            |e| *g.edge(e),
+        )
     }
 
     /// A masked point query over `g` with the given ban lists.
@@ -614,13 +618,19 @@ mod tests {
     fn infinite_cost_masks_edge() {
         let g = g();
         // The direct edge is masked: the path must go the long way.
-        let p = csr_dijkstra(&g.to_csr(), &mut SearchState::new(), NodeId(0), NodeId(3), |e| {
-            if e == EdgeId(3) {
-                f64::INFINITY
-            } else {
-                5.0 * *g.edge(e)
-            }
-        })
+        let p = csr_dijkstra(
+            &g.to_csr(),
+            &mut SearchState::new(),
+            NodeId(0),
+            NodeId(3),
+            |e| {
+                if e == EdgeId(3) {
+                    f64::INFINITY
+                } else {
+                    5.0 * *g.edge(e)
+                }
+            },
+        )
         .unwrap()
         .unwrap();
         assert_eq!(p.hops(), 3);
@@ -647,10 +657,8 @@ mod tests {
         let mut g = g();
         let lonely = g.add_node(());
         let csr = g.to_csr();
-        let tree = csr_shortest_path_tree(&csr, &mut SearchState::new(), NodeId(0), |e| {
-            *g.edge(e)
-        })
-        .unwrap();
+        let tree = csr_shortest_path_tree(&csr, &mut SearchState::new(), NodeId(0), |e| *g.edge(e))
+            .unwrap();
         assert_eq!(tree.prev_edge.len(), csr.node_count());
         assert_eq!(std::mem::size_of_val(&tree.prev_edge[0]), 4);
         let (nodes, edges) = tree.path_to(&csr, NodeId(3)).unwrap();
@@ -701,11 +709,20 @@ mod tests {
         let g = g();
         assert_eq!(filtered(&g, &[0], &[]), Ok(None));
         let r = query(&g, 0, 42);
-        assert!(matches!(r, Err(GraphError::NodeOutOfBounds { index: 42, .. })));
+        assert!(matches!(
+            r,
+            Err(GraphError::NodeOutOfBounds { index: 42, .. })
+        ));
         let r = query(&g, 42, 0);
-        assert!(matches!(r, Err(GraphError::NodeOutOfBounds { index: 42, .. })));
+        assert!(matches!(
+            r,
+            Err(GraphError::NodeOutOfBounds { index: 42, .. })
+        ));
         let r = csr_shortest_path_tree(&g.to_csr(), &mut SearchState::new(), NodeId(42), |_| 1.0);
-        assert!(matches!(r, Err(GraphError::NodeOutOfBounds { index: 42, .. })));
+        assert!(matches!(
+            r,
+            Err(GraphError::NodeOutOfBounds { index: 42, .. })
+        ));
     }
 
     #[test]
@@ -748,16 +765,12 @@ mod tests {
                 let uni = csr_dijkstra(&csr, &mut st, NodeId(s), NodeId(t), |e| *g.edge(e))
                     .unwrap()
                     .unwrap();
-                let bi = bidirectional_dijkstra(
-                    &csr,
-                    &mut fwd,
-                    &mut bwd,
-                    NodeId(s),
-                    NodeId(t),
-                    |e| *g.edge(e),
-                )
-                .unwrap()
-                .unwrap();
+                let bi =
+                    bidirectional_dijkstra(&csr, &mut fwd, &mut bwd, NodeId(s), NodeId(t), |e| {
+                        *g.edge(e)
+                    })
+                    .unwrap()
+                    .unwrap();
                 assert_eq!(uni.cost, bi.cost, "{s}->{t}");
                 assert!(bi.is_valid_in(&g), "{s}->{t}: {:?}", bi.nodes);
                 assert_eq!((bi.source(), bi.target()), (NodeId(s), NodeId(t)));
@@ -771,9 +784,8 @@ mod tests {
         let lonely = g.add_node(());
         let csr = g.to_csr();
         let (mut fwd, mut bwd) = (SearchState::new(), SearchState::new());
-        let r =
-            bidirectional_dijkstra(&csr, &mut fwd, &mut bwd, NodeId(0), lonely, |e| *g.edge(e))
-                .unwrap();
+        let r = bidirectional_dijkstra(&csr, &mut fwd, &mut bwd, NodeId(0), lonely, |e| *g.edge(e))
+            .unwrap();
         assert!(r.is_none());
     }
 }

@@ -21,7 +21,9 @@ use intertubes_records::{gather_pair_evidence, Corpus};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::same_conduit;
-use crate::model::{FiberMap, MapConduit, MapConduitId, MapNodeId, Provenance, Tenancy, TenancySource};
+use crate::model::{
+    FiberMap, MapConduit, MapConduitId, MapNodeId, Provenance, Tenancy, TenancySource,
+};
 use crate::MapError;
 
 /// Pipeline tuning parameters.
@@ -455,9 +457,7 @@ fn step3(
         for link in links {
             // Tentatively place the provider in the pair's busiest conduit
             // (lease into existing infrastructure) when the pair is known.
-            let busiest = slots
-                .iter_mut()
-                .max_by_key(|(_, tenants)| tenants.len());
+            let busiest = slots.iter_mut().max_by_key(|(_, tenants)| tenants.len());
             if let Some((slot, tenants)) = busiest {
                 if !tenants.iter().any(|t| *t == link.isp) {
                     tenants.push(link.isp.clone());
@@ -524,9 +524,9 @@ fn step3(
 
 /// Whether every coordinate of `p` is finite and within geographic range.
 fn polyline_is_valid(p: &Polyline) -> bool {
-    p.points()
-        .iter()
-        .all(|pt| pt.lat.is_finite() && pt.lon.is_finite() && pt.lat.abs() <= 90.0 && pt.lon.abs() <= 180.0)
+    p.points().iter().all(|pt| {
+        pt.lat.is_finite() && pt.lon.is_finite() && pt.lat.abs() <= 90.0 && pt.lon.abs() <= 180.0
+    })
 }
 
 /// Input sanitization: the degradation front door of the pipeline.
@@ -573,16 +573,36 @@ fn sanitize_published(
         out.push(pm);
     }
     let [invalid, repaired, unresolvable, duplicates, unknown] = counts;
-    report.note(STAGE, DegradationAction::Dropped, "invalid-geometry", invalid);
-    report.note(STAGE, DegradationAction::Repaired, "missing-geometry", repaired);
+    report.note(
+        STAGE,
+        DegradationAction::Dropped,
+        "invalid-geometry",
+        invalid,
+    );
+    report.note(
+        STAGE,
+        DegradationAction::Repaired,
+        "missing-geometry",
+        repaired,
+    );
     report.note(
         STAGE,
         DegradationAction::Dropped,
         "missing-geometry-unresolvable",
         unresolvable,
     );
-    report.note(STAGE, DegradationAction::Repaired, "duplicate-link", duplicates);
-    report.note(STAGE, DegradationAction::Dropped, "unknown-endpoint", unknown);
+    report.note(
+        STAGE,
+        DegradationAction::Repaired,
+        "duplicate-link",
+        duplicates,
+    );
+    report.note(
+        STAGE,
+        DegradationAction::Dropped,
+        "unknown-endpoint",
+        unknown,
+    );
     Ok(out)
 }
 
@@ -642,7 +662,9 @@ fn sanitize_one(
                     }
                     duplicates += 1;
                 }
-                (MapKind::PopOnly, _) if gaz.location(&link.a).is_none() || gaz.location(&link.b).is_none() => {
+                (MapKind::PopOnly, _)
+                    if gaz.location(&link.a).is_none() || gaz.location(&link.b).is_none() =>
+                {
                     if policy.is_strict() {
                         let label = if gaz.location(&link.a).is_none() {
                             link.a.clone()

@@ -140,8 +140,9 @@ pub fn augment(
             let a = &map.nodes[c.a.index()];
             let b = &map.nodes[c.b.index()];
             let fallback = a.location.distance_km(&b.location);
-            let row_km =
-                row_distance_km(cities, roads, &road_csr, &mut st, &a.label, &b.label, fallback);
+            let row_km = row_distance_km(
+                cities, roads, &road_csr, &mut st, &a.label, &b.label, fallback,
+            );
             Candidate {
                 conduit: ci,
                 row_km,

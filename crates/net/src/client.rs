@@ -76,8 +76,7 @@ impl NetClient {
 
     fn connected(&mut self) -> Result<&mut (NbStream, FrameReader), WireError> {
         if self.conn.is_none() {
-            let stream =
-                NbStream::connect(self.addr).map_err(|e| WireError::Io(e.to_string()))?;
+            let stream = NbStream::connect(self.addr).map_err(|e| WireError::Io(e.to_string()))?;
             self.conn = Some((stream, FrameReader::new()));
         }
         // Just ensured Some; unreachable fallback keeps this panic-free.
@@ -185,8 +184,8 @@ pub fn run_clients(
         let handles: Vec<_> = (0..clients)
             .map(|j| {
                 scope.spawn(move || {
-                    let mut client = NetClient::new(addr, tenant)
-                        .map_err(|e| WireError::Io(e.to_string()))?;
+                    let mut client =
+                        NetClient::new(addr, tenant).map_err(|e| WireError::Io(e.to_string()))?;
                     let mut answers = Vec::new();
                     for (i, query) in queries.iter().enumerate() {
                         if i % clients != j {

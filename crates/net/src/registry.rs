@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use intertubes_serve::{
-    run_batch_telemetry, QueryEngine, Query, ResultCache, ServeConfig, ServeStats, ServeTelemetry,
+    run_batch_telemetry, Query, QueryEngine, ResultCache, ServeConfig, ServeStats, ServeTelemetry,
 };
 
 /// One served snapshot: engine, private cache, scheduler knobs.
@@ -54,10 +54,8 @@ impl SnapshotRegistry {
         engine.set_snapshot_id(id);
         engine.attach_telemetry(Arc::clone(&self.telemetry));
         let cache = ResultCache::new(cfg.cache);
-        self.entries.insert(
-            id.to_string(),
-            RegistryEntry { engine, cache, cfg },
-        );
+        self.entries
+            .insert(id.to_string(), RegistryEntry { engine, cache, cfg });
     }
 
     /// Whether `id` is served.

@@ -400,9 +400,13 @@ impl NetServer {
     fn dispatch(&self, cid: u64, conn: &mut Conn, reply: &Frame, report: &mut ServerReport) {
         let frame_idx = conn.frames_out;
         conn.frames_out += 1;
-        let family = [FaultFamily::Disconnect, FaultFamily::TornFrame, FaultFamily::SlowLoris]
-            .into_iter()
-            .find(|&f| self.chaos.fires_at(f, cid, frame_idx));
+        let family = [
+            FaultFamily::Disconnect,
+            FaultFamily::TornFrame,
+            FaultFamily::SlowLoris,
+        ]
+        .into_iter()
+        .find(|&f| self.chaos.fires_at(f, cid, frame_idx));
         let Some(family) = family else {
             queue_frame(conn, reply);
             return;

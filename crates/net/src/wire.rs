@@ -220,11 +220,17 @@ impl std::fmt::Display for WireError {
             }
             WireError::BadMagic => write!(f, "bad frame magic"),
             WireError::UnknownVersion { found } => {
-                write!(f, "unknown wire version {found} (this build speaks {WIRE_VERSION})")
+                write!(
+                    f,
+                    "unknown wire version {found} (this build speaks {WIRE_VERSION})"
+                )
             }
             WireError::BadKind { found } => write!(f, "unknown frame kind tag {found}"),
             WireError::LengthMismatch { declared, actual } => {
-                write!(f, "frame length mismatch: fields declare {declared} bytes, body has {actual}")
+                write!(
+                    f,
+                    "frame length mismatch: fields declare {declared} bytes, body has {actual}"
+                )
             }
             WireError::BadUtf8 { field } => write!(f, "{field} id is not UTF-8"),
             WireError::ChecksumMismatch => write!(f, "payload checksum mismatch"),
@@ -402,7 +408,12 @@ mod tests {
     use super::*;
 
     fn sample() -> Frame {
-        Frame::request("tenant-a", "world-1", 42, "{\"TopShared\":{\"k\":4}}".into())
+        Frame::request(
+            "tenant-a",
+            "world-1",
+            42,
+            "{\"TopShared\":{\"k\":4}}".into(),
+        )
     }
 
     #[test]
@@ -443,7 +454,10 @@ mod tests {
         r.feed(&3u32.to_le_bytes());
         assert!(matches!(
             r.next_frame(),
-            Err(WireError::Truncated { needed: HEADER_LEN, .. })
+            Err(WireError::Truncated {
+                needed: HEADER_LEN,
+                ..
+            })
         ));
 
         // Oversized declared length: rejected from the prefix alone.
@@ -473,7 +487,10 @@ mod tests {
         bad[10] = 7;
         let mut r = FrameReader::new();
         r.feed(&bad);
-        assert!(matches!(r.next_frame(), Err(WireError::BadKind { found: 7 })));
+        assert!(matches!(
+            r.next_frame(),
+            Err(WireError::BadKind { found: 7 })
+        ));
 
         // Checksum mismatch: flip a payload byte.
         let mut bad = good.clone();
@@ -488,7 +505,10 @@ mod tests {
         bad[11] = bad[11].wrapping_add(1); // tenant_len
         let mut r = FrameReader::new();
         r.feed(&bad);
-        assert!(matches!(r.next_frame(), Err(WireError::LengthMismatch { .. })));
+        assert!(matches!(
+            r.next_frame(),
+            Err(WireError::LengthMismatch { .. })
+        ));
 
         // A mid-frame close is a truncation, a clean close is Closed.
         let mut r = FrameReader::new();

@@ -434,9 +434,16 @@ impl Recorder {
         );
         let mut fields = vec![
             ("wall_ms".to_string(), FieldValue::F64(wall_ms)),
-            ("outcome".to_string(), FieldValue::Str(outcome.label().to_string())),
+            (
+                "outcome".to_string(),
+                FieldValue::Str(outcome.label().to_string()),
+            ),
         ];
-        fields.extend(items.iter().map(|&(k, v)| (k.to_string(), FieldValue::U64(v))));
+        fields.extend(
+            items
+                .iter()
+                .map(|&(k, v)| (k.to_string(), FieldValue::U64(v))),
+        );
         self.push_log(EventRecord {
             seq: 0,
             t_ms: self.elapsed_ms(),
@@ -544,10 +551,7 @@ fn with_recorder<R>(f: impl FnOnce(&Recorder) -> R) -> Option<R> {
 
 /// Whether a session is currently recording.
 pub fn active() -> bool {
-    RECORDER
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .is_some()
+    RECORDER.read().unwrap_or_else(|e| e.into_inner()).is_some()
 }
 
 // ---------------------------------------------------------------------------
@@ -718,13 +722,23 @@ mod tests {
         let kinds: Vec<&str> = record.events.iter().map(|e| e.kind.label()).collect();
         assert_eq!(
             kinds,
-            vec!["span_open", "span_open", "span_close", "event", "span_close"]
+            vec![
+                "span_open",
+                "span_open",
+                "span_close",
+                "event",
+                "span_close"
+            ]
         );
         let ev = &record.events[3];
         assert_eq!(ev.span.as_deref(), Some("outer"));
         assert_eq!(ev.message, "hello");
         // seq is the log position
-        assert!(record.events.iter().enumerate().all(|(i, e)| e.seq == i as u64));
+        assert!(record
+            .events
+            .iter()
+            .enumerate()
+            .all(|(i, e)| e.seq == i as u64));
     }
 
     #[test]

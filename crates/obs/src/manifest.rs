@@ -380,9 +380,7 @@ pub fn validate_manifest(manifest: &Value, required_stages: &[&str]) -> Result<(
                                     }
                                 }
                             }
-                            None => problem(format!(
-                                "run.tenants[{tenant}] is not an object"
-                            )),
+                            None => problem(format!("run.tenants[{tenant}] is not an object")),
                         }
                     }
                 }
@@ -533,15 +531,18 @@ mod tests {
     #[test]
     fn manifest_aggregates_and_validates() {
         let record = sample_record();
-        let manifest = build_manifest(&sample_info(), &record, Some(&TopologyCounts {
-            nodes: 273,
-            links: 2411,
-            conduits: 542,
-            validated_conduits: 400,
-        }));
-        validate_manifest(&manifest, &["map.step1"]).unwrap_or_else(|problems| {
-            panic!("manifest should validate, problems: {problems:?}")
-        });
+        let manifest = build_manifest(
+            &sample_info(),
+            &record,
+            Some(&TopologyCounts {
+                nodes: 273,
+                links: 2411,
+                conduits: 542,
+                validated_conduits: 400,
+            }),
+        );
+        validate_manifest(&manifest, &["map.step1"])
+            .unwrap_or_else(|problems| panic!("manifest should validate, problems: {problems:?}"));
         let stage = &manifest["stages"]["map.step1"];
         assert_eq!(stage["calls"].as_u64(), Some(2));
         assert_eq!(stage["outcome"].as_str(), Some("degraded"));
@@ -636,9 +637,8 @@ mod tests {
         tenants.insert("acme".to_string(), Value::Object(counts));
         info.tenants = Some(Value::Object(tenants));
         let manifest = build_manifest(&info, &record, None);
-        validate_manifest(&manifest, &[]).unwrap_or_else(|problems| {
-            panic!("tenant counts should validate: {problems:?}")
-        });
+        validate_manifest(&manifest, &[])
+            .unwrap_or_else(|problems| panic!("tenant counts should validate: {problems:?}"));
         let canon = canonicalize(&manifest);
         assert_eq!(
             canon["run"]["tenants"]["acme"]["quota_rejected"].as_u64(),
@@ -668,9 +668,8 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), record.events.len() + 1);
         for line in &lines {
-            let v: Value = serde_json::from_str(line).unwrap_or_else(|e| {
-                panic!("line should parse as JSON: {e:?}\n{line}")
-            });
+            let v: Value = serde_json::from_str(line)
+                .unwrap_or_else(|e| panic!("line should parse as JSON: {e:?}\n{line}"));
             assert!(v.get("type").and_then(Value::as_str).is_some());
         }
         let last: Value = serde_json::from_str(lines[lines.len() - 1]).unwrap_or_default();

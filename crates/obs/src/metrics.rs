@@ -102,8 +102,8 @@ impl Histogram {
         if self.count == 0 {
             return 0;
         }
-        let rank = (((self.count - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64)
-            .min(self.count - 1);
+        let rank =
+            (((self.count - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64).min(self.count - 1);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
             if c == 0 {
@@ -233,10 +233,7 @@ impl MetricsSnapshot {
                 .merge(*g);
         }
         for (name, h) in &other.histograms {
-            self.histograms
-                .entry(name.clone())
-                .or_default()
-                .merge(h);
+            self.histograms.entry(name.clone()).or_default().merge(h);
         }
     }
 
@@ -353,10 +350,19 @@ mod tests {
 
     #[test]
     fn gauge_merge_takes_latest_stamp() {
-        let mut g = Gauge { stamp: 3, value: 10 };
-        g.merge(Gauge { stamp: 1, value: 99 });
+        let mut g = Gauge {
+            stamp: 3,
+            value: 10,
+        };
+        g.merge(Gauge {
+            stamp: 1,
+            value: 99,
+        });
         assert_eq!(g.value, 10);
-        g.merge(Gauge { stamp: 4, value: -2 });
+        g.merge(Gauge {
+            stamp: 4,
+            value: -2,
+        });
         assert_eq!(g.value, -2);
     }
 

@@ -178,7 +178,10 @@ mod tests {
         let outside = locked(snapshot);
         let inside = with_threads(4, snapshot);
         let changed: Vec<_> = inside.symmetric_difference(&outside).collect();
-        assert!(changed.is_empty(), "with_threads changed the environment: {changed:?}");
+        assert!(
+            changed.is_empty(),
+            "with_threads changed the environment: {changed:?}"
+        );
     }
 
     fn distinct(ids: &[ThreadId]) -> HashSet<ThreadId> {

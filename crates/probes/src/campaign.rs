@@ -153,7 +153,10 @@ impl<'w> CarrierTable<'w> {
             world,
             csr: g.to_csr(),
             st: SearchState::new(),
-            km: g.edge_ids().map(|e| world.system.conduit(*g.edge(e)).length_km).collect(),
+            km: g
+                .edge_ids()
+                .map(|e| world.system.conduit(*g.edge(e)).length_km)
+                .collect(),
             banned,
             presence,
             access_weight,
@@ -340,8 +343,9 @@ fn plan_route(
     }
     // Option B: access at the source, transit across, access at the far end
     // when the transit carrier does not reach the destination city.
-    let access =
-        table.weighted_pick(rng, &table.access_weight, |i| table.presence[i][src.index()])?;
+    let access = table.weighted_pick(rng, &table.access_weight, |i| {
+        table.presence[i][src.index()]
+    })?;
     let transit = table.weighted_pick(rng, &table.transit_weight, |i| {
         i != access && table.presence[i][dst.index()]
     })?;

@@ -38,7 +38,11 @@ pub enum ProbeError {
 impl std::fmt::Display for ProbeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProbeError::EndpointOutOfRange { trace, city, cities } => write!(
+            ProbeError::EndpointOutOfRange {
+                trace,
+                city,
+                cities,
+            } => write!(
                 f,
                 "trace {trace}: endpoint city id {city} out of range (gazetteer has {cities})"
             ),

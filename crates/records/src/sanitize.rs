@@ -48,7 +48,9 @@ pub fn count_row_conflicts(docs: &[Document]) -> usize {
     let mut conflicts = 0usize;
     for (j, later) in docs.iter().enumerate() {
         let Some(row_j) = later.row else { continue };
-        let Some(pair_j) = pair_of(later) else { continue };
+        let Some(pair_j) = pair_of(later) else {
+            continue;
+        };
         let disputed = docs[..j].iter().any(|earlier| {
             earlier.row.is_some_and(|r| r != row_j)
                 && earlier.isps == later.isps
@@ -78,7 +80,11 @@ pub fn sanitize_corpus(
     let mut span = intertubes_obs::stage("records.sanitize");
     span.items("documents_in", corpus.len());
     let mut report = DegradationReport::new();
-    let corrupt = corpus.docs().iter().filter(|d| document_is_corrupt(d)).count();
+    let corrupt = corpus
+        .docs()
+        .iter()
+        .filter(|d| document_is_corrupt(d))
+        .count();
     if corrupt > 0 && policy.is_strict() {
         span.failed();
         // Surface the first offender for the error message.
@@ -148,8 +154,18 @@ mod tests {
     #[test]
     fn clean_corpus_passes_untouched() {
         let c = Corpus::from_documents(vec![
-            doc(0, ["Dallas, TX", "Houston, TX"], &["AT&T"], Some(RowHint::Rail)),
-            doc(1, ["Dallas, TX", "Houston, TX"], &["AT&T"], Some(RowHint::Rail)),
+            doc(
+                0,
+                ["Dallas, TX", "Houston, TX"],
+                &["AT&T"],
+                Some(RowHint::Rail),
+            ),
+            doc(
+                1,
+                ["Dallas, TX", "Houston, TX"],
+                &["AT&T"],
+                Some(RowHint::Rail),
+            ),
         ]);
         let (out, report) = sanitize_corpus(&c, DegradationPolicy::Lenient).unwrap();
         assert!(report.is_clean());
@@ -175,10 +191,25 @@ mod tests {
     #[test]
     fn row_conflicts_are_counted_not_dropped() {
         let c = Corpus::from_documents(vec![
-            doc(0, ["Dallas, TX", "Houston, TX"], &["AT&T"], Some(RowHint::Rail)),
-            doc(1, ["Houston, TX", "Dallas, TX"], &["AT&T"], Some(RowHint::Road)),
+            doc(
+                0,
+                ["Dallas, TX", "Houston, TX"],
+                &["AT&T"],
+                Some(RowHint::Rail),
+            ),
+            doc(
+                1,
+                ["Houston, TX", "Dallas, TX"],
+                &["AT&T"],
+                Some(RowHint::Road),
+            ),
             // Different provider list: not an amendment conflict.
-            doc(2, ["Dallas, TX", "Houston, TX"], &["Sprint"], Some(RowHint::Road)),
+            doc(
+                2,
+                ["Dallas, TX", "Houston, TX"],
+                &["Sprint"],
+                Some(RowHint::Road),
+            ),
         ]);
         let (out, report) = sanitize_corpus(&c, DegradationPolicy::Lenient).unwrap();
         assert_eq!(out.len(), 3, "conflicting docs must be kept");

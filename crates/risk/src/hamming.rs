@@ -31,7 +31,10 @@ pub fn hamming_distance(a: &[u16], b: &[u16]) -> u32 {
 pub fn hamming_heatmap(rm: &RiskMatrix) -> HammingHeatmap {
     let mut span = intertubes_obs::stage("risk.hamming");
     span.items("isps", rm.isp_count());
-    span.items("pairs", rm.isp_count() * rm.isp_count().saturating_sub(1) / 2);
+    span.items(
+        "pairs",
+        rm.isp_count() * rm.isp_count().saturating_sub(1) / 2,
+    );
     let indices: Vec<usize> = (0..rm.isp_count()).collect();
     let rows: Vec<Vec<u16>> = intertubes_parallel::par_map(&indices, |&i| rm.row(i));
     let n = rows.len();

@@ -132,7 +132,10 @@ impl std::fmt::Display for ScenarioError {
                 write!(f, "scenario: parameter `{what}` must be > 0, got {value}")
             }
             ScenarioError::UnclosedPolygon => {
-                write!(f, "scenario: polygon ring must close (last vertex == first)")
+                write!(
+                    f,
+                    "scenario: polygon ring must close (last vertex == first)"
+                )
             }
             ScenarioError::DegeneratePolygon { vertices } => write!(
                 f,
@@ -401,7 +404,12 @@ mod tests {
         let mut plan = disc_plan(0.5);
         let pt = |lat, lon| GeoPoint { lat, lon };
         plan.footprint = Footprint::Polygon {
-            vertices: vec![pt(30.0, -90.0), pt(31.0, -90.0), pt(31.0, -89.0), pt(30.5, -89.5)],
+            vertices: vec![
+                pt(30.0, -90.0),
+                pt(31.0, -90.0),
+                pt(31.0, -89.0),
+                pt(30.5, -89.5),
+            ],
         };
         assert_eq!(plan.validate(), Err(ScenarioError::UnclosedPolygon));
         plan.footprint = Footprint::Polygon {

@@ -73,7 +73,11 @@ impl EnsembleAccumulator {
         for (mine, theirs) in self.failures.iter_mut().zip(&other.failures) {
             *mine += theirs;
         }
-        for (mine, theirs) in self.disconnect_weight.iter_mut().zip(&other.disconnect_weight) {
+        for (mine, theirs) in self
+            .disconnect_weight
+            .iter_mut()
+            .zip(&other.disconnect_weight)
+        {
             *mine += theirs;
         }
     }

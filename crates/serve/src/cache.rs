@@ -254,7 +254,8 @@ impl ResultCache {
             }
             entry.value = String::from_utf8_lossy(&bytes).into_owned();
         }
-        self.poison_injected.fetch_add(touched as u64, Ordering::Relaxed);
+        self.poison_injected
+            .fetch_add(touched as u64, Ordering::Relaxed);
         touched
     }
 
@@ -394,7 +395,9 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.evictions(), 2);
         assert_eq!(stats.shards[0].evictions, 2);
-        assert!(stats.shards[1..].iter().all(|s| *s == ShardStats::default()));
+        assert!(stats.shards[1..]
+            .iter()
+            .all(|s| *s == ShardStats::default()));
     }
 
     #[test]
@@ -413,8 +416,7 @@ mod tests {
                         let _ = cache.get(&keys[i / 2]);
                     }
                 }
-                let survivors: Vec<bool> =
-                    keys.iter().map(|k| cache.get(k).is_some()).collect();
+                let survivors: Vec<bool> = keys.iter().map(|k| cache.get(k).is_some()).collect();
                 (survivors, cache.stats())
             })
         };

@@ -661,10 +661,7 @@ impl ChaosReport {
                     "to".into(),
                     serde_json::Value::String(t.to.label().to_string()),
                 );
-                o.insert(
-                    "reason".into(),
-                    serde_json::Value::String(t.reason.clone()),
-                );
+                o.insert("reason".into(), serde_json::Value::String(t.reason.clone()));
                 serde_json::Value::Object(o)
             })
             .collect();
@@ -826,7 +823,13 @@ impl SnapshotIo for ChaosSession {
         let mut st = self.lock();
         let shown = path.display();
         if st.injector.fires(FaultFamily::TransientIo) {
-            Self::inject(&mut st, FaultFamily::TransientIo, 1, 0, &format!("reading {shown}"));
+            Self::inject(
+                &mut st,
+                FaultFamily::TransientIo,
+                1,
+                0,
+                &format!("reading {shown}"),
+            );
             return Err(SnapshotError::Io(format!(
                 "injected transient i/o error reading {shown}"
             )));
@@ -868,8 +871,16 @@ impl SnapshotIo for ChaosSession {
         let mut st = self.lock();
         let torn = FaultFamily::TornSnapshotWrite;
         if st.injector.fires(torn) {
-            let keep = st.injector.rng(torn).gen_range(0..bytes.len().max(1)).min(bytes.len());
-            let detail = format!("kept {keep} of {} bytes writing {}", bytes.len(), path.display());
+            let keep = st
+                .injector
+                .rng(torn)
+                .gen_range(0..bytes.len().max(1))
+                .min(bytes.len());
+            let detail = format!(
+                "kept {keep} of {} bytes writing {}",
+                bytes.len(),
+                path.display()
+            );
             Self::inject(&mut st, torn, 1, 0, &detail);
             drop(st);
             // The torn write *reports success* — exactly like a crash

@@ -347,13 +347,16 @@ impl StudySnapshot {
     /// landmark tables are present. Deterministic: the same snapshot always
     /// yields the same bytes.
     pub fn to_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
-        let payload = serde_json::to_string(self).map_err(|e| SnapshotError::Payload(e.to_string()))?;
+        let payload =
+            serde_json::to_string(self).map_err(|e| SnapshotError::Payload(e.to_string()))?;
         let checksum = fnv1a64(payload.as_bytes());
         let landmarks = match &self.landmarks {
-            Some(lm) => Some(serde_json::to_string(lm).map_err(|e| SnapshotError::BadSection {
-                section: "landmarks",
-                error: e.to_string(),
-            })?),
+            Some(lm) => Some(
+                serde_json::to_string(lm).map_err(|e| SnapshotError::BadSection {
+                    section: "landmarks",
+                    error: e.to_string(),
+                })?,
+            ),
             None => None,
         };
         // The header is assembled by hand so its key order is fixed by
@@ -441,8 +444,8 @@ impl StudySnapshot {
                 found,
             });
         }
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| SnapshotError::Payload(e.to_string()))?;
+        let text =
+            std::str::from_utf8(payload).map_err(|e| SnapshotError::Payload(e.to_string()))?;
         let mut snap = decode_payload(text).map_err(|e| SnapshotError::Payload(e.to_string()))?;
         if header.get("landmarks_len").is_some() {
             snap.landmarks = Some(Self::parse_landmarks(bytes, &header, payload_end)?);

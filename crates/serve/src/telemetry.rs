@@ -212,10 +212,7 @@ impl FlightEvent {
         let mut obj = Map::new();
         obj.insert("seq".to_string(), Value::Number(Number::UInt(self.seq)));
         obj.insert("wave".to_string(), Value::Number(Number::UInt(self.wave)));
-        obj.insert(
-            "family".to_string(),
-            Value::String(self.family.to_string()),
-        );
+        obj.insert("family".to_string(), Value::String(self.family.to_string()));
         obj.insert(
             "key_hash".to_string(),
             Value::Number(Number::UInt(self.key_hash)),
@@ -249,10 +246,7 @@ impl FlightDump {
     /// JSON rendering with fixed key order.
     pub fn to_json(&self) -> Value {
         let mut obj = Map::new();
-        obj.insert(
-            "reason".to_string(),
-            Value::String(self.reason.clone()),
-        );
+        obj.insert("reason".to_string(), Value::String(self.reason.clone()));
         obj.insert("wave".to_string(), Value::Number(Number::UInt(self.wave)));
         obj.insert(
             "events".to_string(),
@@ -716,20 +710,12 @@ impl ServeTelemetry {
             c.insert("hits".to_string(), uint(stats.hits()));
             c.insert("misses".to_string(), uint(stats.misses()));
             c.insert("evictions".to_string(), uint(stats.evictions()));
-            c.insert(
-                "poison_injected".to_string(),
-                uint(stats.poison_injected),
-            );
-            c.insert(
-                "poison_detected".to_string(),
-                uint(stats.poison_detected()),
-            );
+            c.insert("poison_injected".to_string(), uint(stats.poison_injected));
+            c.insert("poison_detected".to_string(), uint(stats.poison_detected()));
             let looked = stats.hits() + stats.misses();
             c.insert(
                 "hit_rate".to_string(),
-                Value::Number(Number::Float(
-                    stats.hits() as f64 / looked.max(1) as f64,
-                )),
+                Value::Number(Number::Float(stats.hits() as f64 / looked.max(1) as f64)),
             );
             let shards: Vec<Value> = stats
                 .shards
@@ -740,10 +726,7 @@ impl ServeTelemetry {
                     row.insert("misses".to_string(), uint(s.misses));
                     row.insert("insertions".to_string(), uint(s.insertions));
                     row.insert("evictions".to_string(), uint(s.evictions));
-                    row.insert(
-                        "poison_detected".to_string(),
-                        uint(s.poison_detected),
-                    );
+                    row.insert("poison_detected".to_string(), uint(s.poison_detected));
                     Value::Object(row)
                 })
                 .collect();
@@ -764,10 +747,7 @@ impl ServeTelemetry {
         for dump in inner.flight.dumps() {
             let mut header = Map::new();
             header.insert("dump".to_string(), Value::String(dump.reason.clone()));
-            header.insert(
-                "wave".to_string(),
-                Value::Number(Number::UInt(dump.wave)),
-            );
+            header.insert("wave".to_string(), Value::Number(Number::UInt(dump.wave)));
             header.insert(
                 "events".to_string(),
                 Value::Number(Number::UInt(dump.events.len() as u64)),
@@ -894,9 +874,7 @@ pub fn canonicalize_stats(value: &Value) -> Value {
             }
             Value::Object(out)
         }
-        Value::Array(items) => {
-            Value::Array(items.iter().map(canonicalize_stats).collect())
-        }
+        Value::Array(items) => Value::Array(items.iter().map(canonicalize_stats).collect()),
         other => other.clone(),
     }
 }
@@ -986,7 +964,10 @@ mod tests {
                 quota_rejected: 1,
             })
         );
-        assert_eq!(counts.tenants.get("beta").map(|t| t.quota_rejected), Some(0));
+        assert_eq!(
+            counts.tenants.get("beta").map(|t| t.quota_rejected),
+            Some(0)
+        );
         // The tenant aggregates are canonical: they survive
         // canonicalize_stats and render in fixed key order.
         let doc = telemetry.stats_document(None);

@@ -574,7 +574,10 @@ fn run(
             println!("{text}");
         }
         "geojson" => {
-            write_json(operand(out)?, &intertubes::map::to_geojson(&study.built.map))?;
+            write_json(
+                operand(out)?,
+                &intertubes::map::to_geojson(&study.built.map),
+            )?;
         }
         "risk" => {
             write_json(operand(out)?, &risk_json(&study))?;
@@ -729,10 +732,7 @@ fn chaos_session_from_rest(
 
 /// Fills the manifest topology from a loaded snapshot's map (the serving
 /// commands have no built study).
-fn note_topology(
-    snap: &intertubes::serve::StudySnapshot,
-    topology: &mut Option<TopologyCounts>,
-) {
+fn note_topology(snap: &intertubes::serve::StudySnapshot, topology: &mut Option<TopologyCounts>) {
     let s = intertubes::map::summarize(&snap.map);
     *topology = Some(TopologyCounts {
         nodes: s.nodes,
@@ -766,7 +766,13 @@ fn run_serve(
 ) -> CliResult<()> {
     let opts = parse_serve_opts(&inv.rest);
     if opts.listen.is_some() {
-        return run_serve_listen(&opts, fault_plan_doc, serve_stats_doc, tenants_doc, topology);
+        return run_serve_listen(
+            &opts,
+            fault_plan_doc,
+            serve_stats_doc,
+            tenants_doc,
+            topology,
+        );
     }
     let chaos = match &opts.chaos {
         Some(spec) => {
@@ -810,11 +816,8 @@ fn run_serve(
         note_topology(&snap, topology);
     }
     let mut engine = intertubes::serve::QueryEngine::new(snap);
-    let workload = intertubes::serve::mixed_workload(
-        engine.snapshot(),
-        opts.replay,
-        opts.workload_seed,
-    );
+    let workload =
+        intertubes::serve::mixed_workload(engine.snapshot(), opts.replay, opts.workload_seed);
     let cfg = intertubes::serve::ServeConfig {
         queue_capacity: opts.queue,
         admit_max: opts.admit_max,
@@ -825,9 +828,9 @@ fn run_serve(
         },
         ..intertubes::serve::ServeConfig::default()
     };
-    let telemetry = std::sync::Arc::new(
-        intertubes::serve::ServeTelemetry::with_flight_capacity(cfg.flight_capacity),
-    );
+    let telemetry = std::sync::Arc::new(intertubes::serve::ServeTelemetry::with_flight_capacity(
+        cfg.flight_capacity,
+    ));
     engine.attach_telemetry(telemetry.clone());
     let cache = intertubes::serve::ResultCache::new(cfg.cache);
     let (responses, stats, chaos_report) = {
@@ -853,10 +856,7 @@ fn run_serve(
             }
         }
     };
-    let jsonl: String = responses
-        .iter()
-        .map(|r| format!("{r}\n"))
-        .collect();
+    let jsonl: String = responses.iter().map(|r| format!("{r}\n")).collect();
     match &opts.out {
         Some(path) => {
             std::fs::write(path, jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -870,8 +870,7 @@ fn run_serve(
     .map_err(|e| format!("cannot serialize stats: {e:?}"))?;
     match &opts.stats {
         Some(path) => {
-            std::fs::write(path, &stats_text)
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            std::fs::write(path, &stats_text).map_err(|e| format!("cannot write {path}: {e}"))?;
             wrote(path);
         }
         // With responses on stdout, stats go to the structured log so the
@@ -885,15 +884,19 @@ fn run_serve(
         let text = rep.to_canonical_json();
         match &opts.chaos_report {
             Some(path) => {
-                std::fs::write(path, &text)
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
                 wrote(path);
             }
             None => obs::event(Level::Info, "serve", &format!("chaos report: {text}"), &[]),
         }
         *health_doc = Some(rep.health_value());
     }
-    write_stats_out(&telemetry, Some(&cache), opts.stats_out.as_deref(), serve_stats_doc)?;
+    write_stats_out(
+        &telemetry,
+        Some(&cache),
+        opts.stats_out.as_deref(),
+        serve_stats_doc,
+    )?;
     Ok(())
 }
 
@@ -950,9 +953,9 @@ fn run_serve_listen(
         },
         ..intertubes::serve::ServeConfig::default()
     };
-    let telemetry = std::sync::Arc::new(
-        intertubes::serve::ServeTelemetry::with_flight_capacity(cfg.flight_capacity),
-    );
+    let telemetry = std::sync::Arc::new(intertubes::serve::ServeTelemetry::with_flight_capacity(
+        cfg.flight_capacity,
+    ));
     let mut registry = SnapshotRegistry::with_telemetry(telemetry.clone());
     for spec in &opts.snapshots {
         let (id, path) = split_snapshot_spec(spec);
@@ -979,12 +982,10 @@ fn run_serve_listen(
     if let Some(n) = opts.sessions {
         server = server.with_session_limit(n);
     }
-    let listener =
-        NbListener::bind(listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
+    let listener = NbListener::bind(listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
     let local = listener.local_addr();
     if let Some(path) = &opts.addr_file {
-        std::fs::write(path, local.to_string())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, local.to_string()).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     obs::event(Level::Info, "net", &format!("listening on {local}"), &[]);
     let report = server
@@ -1132,8 +1133,8 @@ fn run_query(
     let (Some(path), Some(text)) = (snapshot_path, query_text) else {
         usage()
     };
-    let query: intertubes::serve::Query = serde_json::from_str(text)
-        .map_err(|e| format!("invalid query {text:?}: {e:?}"))?;
+    let query: intertubes::serve::Query =
+        serde_json::from_str(text).map_err(|e| format!("invalid query {text:?}: {e:?}"))?;
     let snap = load_snapshot(path, topology)?;
     let mut engine = intertubes::serve::QueryEngine::new(snap);
     match stats_out {
@@ -1181,10 +1182,7 @@ struct RemoteQuery {
 /// `--workload-from` the deterministic mixed workload is generated
 /// locally and split over `--clients` concurrent connections — the same
 /// harness the remote gate byte-compares across client counts.
-fn run_query_remote(
-    remote: &RemoteQuery,
-    topology: &mut Option<TopologyCounts>,
-) -> CliResult<()> {
+fn run_query_remote(remote: &RemoteQuery, topology: &mut Option<TopologyCounts>) -> CliResult<()> {
     use std::net::ToSocketAddrs;
     let addr = remote
         .addr
@@ -1211,8 +1209,7 @@ fn run_query_remote(
             let jsonl: String = responses.iter().map(|r| format!("{r}\n")).collect();
             match &remote.out {
                 Some(path) => {
-                    std::fs::write(path, jsonl)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
+                    std::fs::write(path, jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
                     wrote(path);
                 }
                 None => print!("{jsonl}"),
@@ -1220,8 +1217,8 @@ fn run_query_remote(
             Ok(())
         }
         (None, Some(text)) => {
-            let query: intertubes::serve::Query = serde_json::from_str(text)
-                .map_err(|e| format!("invalid query {text:?}: {e:?}"))?;
+            let query: intertubes::serve::Query =
+                serde_json::from_str(text).map_err(|e| format!("invalid query {text:?}: {e:?}"))?;
             let mut client = intertubes::net::NetClient::new(addr, &remote.tenant)
                 .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
             let reply = client

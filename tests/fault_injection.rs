@@ -44,7 +44,10 @@ fn baseline() -> &'static (Study, DegradationReport, Campaign) {
 #[test]
 fn clean_input_reports_clean_under_both_policies() {
     let (_, report, _) = baseline();
-    assert!(report.is_clean(), "clean world must degrade nothing: {report:?}");
+    assert!(
+        report.is_clean(),
+        "clean world must degrade nothing: {report:?}"
+    );
     let (_, strict_report) = Study::new_checked(strict_config()).expect("strict on clean input");
     assert!(strict_report.is_clean());
 }
@@ -58,7 +61,10 @@ fn lenient_checked_build_is_byte_identical_to_default() {
         .expect("serializes");
     let b = serde_json::to_string(&intertubes::map::to_geojson(&checked.built.map))
         .expect("serializes");
-    assert_eq!(a, b, "lenient checked map must match the default path byte for byte");
+    assert_eq!(
+        a, b,
+        "lenient checked map must match the default path byte for byte"
+    );
 }
 
 #[test]
@@ -170,7 +176,10 @@ fn truncated_traces_only_lose_coverage() {
     let ledger = injector.ledger;
     assert!(ledger.count(FaultFamily::TruncateTraces) > 0);
     let (overlay, report) = study.overlay_checked(&faulty).expect("lenient overlay");
-    assert!(report.is_clean(), "truncation is invisible, not an input error");
+    assert!(
+        report.is_clean(),
+        "truncation is invisible, not an input error"
+    );
     // Removing hops can only remove conduit observations.
     assert!(overlay.overlaid <= clean_overlay.overlaid);
     assert_eq!(overlay.overlaid + overlay.skipped, faulty.traces.len());

@@ -46,7 +46,12 @@ fn fixture() -> &'static Fixture {
             .take(3)
             .cloned()
             .collect();
-        published.extend(all.iter().filter(|m| m.kind == MapKind::PopOnly).take(1).cloned());
+        published.extend(
+            all.iter()
+                .filter(|m| m.kind == MapKind::PopOnly)
+                .take(1)
+                .cloned(),
+        );
         let campaign = run_campaign(
             &world,
             &ProbeConfig {
@@ -202,8 +207,10 @@ fn mutate(rng: &mut StdRng, kind: usize, text: &str, other: &str) -> String {
             if choice == dup.len() {
                 return text.replacen("\"seed\": ", "\"seed\": 99,\n  \"seed\": ", 1);
             }
-            let anchors: Vec<usize> =
-                text.match_indices("{ \"family\"").map(|(i, _)| i + 2).collect();
+            let anchors: Vec<usize> = text
+                .match_indices("{ \"family\"")
+                .map(|(i, _)| i + 2)
+                .collect();
             if anchors.is_empty() {
                 return text.replacen("\"faults\": [", "\"faults\": [], \"faults\": [", 1);
             }

@@ -179,7 +179,11 @@ fn transport_chaos_cannot_change_a_response_byte() {
 fn hot_tenant_quota_exhaustion_cannot_reject_a_quiet_tenant() {
     let telemetry = std::sync::Arc::new(ServeTelemetry::new());
     let mut registry = SnapshotRegistry::with_telemetry(telemetry.clone());
-    registry.insert("tiny", QueryEngine::new(tiny_snapshot()), ServeConfig::default());
+    registry.insert(
+        "tiny",
+        QueryEngine::new(tiny_snapshot()),
+        ServeConfig::default(),
+    );
     let server = NetServer::new(registry)
         // 5 requests per 10, per tenant — the hog will burn through this.
         .with_quota(QuotaConfig::limited(5, 5, 10))
@@ -225,7 +229,10 @@ fn hot_tenant_quota_exhaustion_cannot_reject_a_quiet_tenant() {
         Some(0),
         "a hot tenant's flood must never consume another tenant's quota"
     );
-    assert_eq!(tenants["hog"]["quota_rejected"].as_u64(), Some(hog_rejected as u64));
+    assert_eq!(
+        tenants["hog"]["quota_rejected"].as_u64(),
+        Some(hog_rejected as u64)
+    );
     assert_eq!(tenants["quiet"]["submitted"].as_u64(), Some(5));
 }
 
@@ -309,7 +316,11 @@ fn malformed_frames_answer_with_typed_error_frames_and_the_server_survives() {
     let reply = raw_exchange(addr, &good).expect("a response frame");
     assert_eq!(reply.kind, FrameKind::Response);
     assert_eq!(reply.request_id, 9);
-    assert!(reply.payload.contains("TopShared"), "payload: {}", reply.payload);
+    assert!(
+        reply.payload.contains("TopShared"),
+        "payload: {}",
+        reply.payload
+    );
     drop(stalled);
 
     let report = server.stop().unwrap();

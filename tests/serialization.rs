@@ -125,7 +125,10 @@ fn tiny_snapshot() -> StudySnapshot {
         row: None,
     });
     let landmarks = intertubes::serve::build_landmarks(&map);
-    assert!(landmarks.is_some(), "landmark build failed on a connected map");
+    assert!(
+        landmarks.is_some(),
+        "landmark build failed on a connected map"
+    );
     let paths = intertubes::serve::PathIndex::build(
         &map,
         2,
@@ -245,7 +248,10 @@ fn corrupted_payload_is_a_checksum_mismatch_not_a_panic() {
     let last = corrupt.len() - 1;
     corrupt[last] ^= 0x20; // flip one payload bit
     let err = StudySnapshot::from_bytes(&corrupt).unwrap_err();
-    assert!(matches!(err, SnapshotError::ChecksumMismatch { .. }), "{err}");
+    assert!(
+        matches!(err, SnapshotError::ChecksumMismatch { .. }),
+        "{err}"
+    );
 }
 
 #[test]
@@ -281,22 +287,25 @@ fn truncation_at_every_section_boundary_is_typed_never_a_panic() {
     assert_eq!(lm_end, bytes.len(), "landmarks are the container tail");
     let cuts = [
         0,
-        7,                                  // inside the magic
-        8,                                  // magic only
-        15,                                 // inside the header-length word
-        16,                                 // prefix only, no header
-        (16 + header_end) / 2,              // mid-header
-        header_end,                         // header only, no payload
-        (payload_start + payload_end) / 2,  // mid-payload
-        payload_end,                        // payload only, no landmarks
-        (lm_start + lm_end) / 2,            // mid-landmarks
-        bytes.len() - 1,                    // one byte short
+        7,                                 // inside the magic
+        8,                                 // magic only
+        15,                                // inside the header-length word
+        16,                                // prefix only, no header
+        (16 + header_end) / 2,             // mid-header
+        header_end,                        // header only, no payload
+        (payload_start + payload_end) / 2, // mid-payload
+        payload_end,                       // payload only, no landmarks
+        (lm_start + lm_end) / 2,           // mid-landmarks
+        bytes.len() - 1,                   // one byte short
     ];
     for cut in cuts {
         match StudySnapshot::from_bytes(&bytes[..cut]) {
             Err(SnapshotError::Truncated { needed, have }) => {
                 assert_eq!(have, cut, "cut at {cut}: wrong `have`");
-                assert!(needed > cut, "cut at {cut}: needed {needed} not past the cut");
+                assert!(
+                    needed > cut,
+                    "cut at {cut}: needed {needed} not past the cut"
+                );
             }
             Err(other) => panic!("cut at {cut}: expected Truncated, got {other}"),
             Ok(_) => panic!("cut at {cut}: a truncated container must not load"),
@@ -321,7 +330,10 @@ fn member_wise_decode_matches_the_whole_tree_decode() {
         // A missing section, and two malformed ones: the error names the
         // first in declaration order, not in document order.
         payload.replacen("\"isps\":", "\"isps_was\":", 1),
-        format!("{{\"risk\":7,{}", &bad_map.replacen("\"risk\":", "\"risk_was\":", 1)[1..]),
+        format!(
+            "{{\"risk\":7,{}",
+            &bad_map.replacen("\"risk\":", "\"risk_was\":", 1)[1..]
+        ),
         "{}".to_string(),
         // Syntax errors win over conversion errors.
         bad_map.replacen("\"paths\":", "\"paths\"", 1),
@@ -340,11 +352,24 @@ fn member_wise_decode_matches_the_whole_tree_decode() {
     // `Deserialize` would report.
     let decode = |i: usize| StudySnapshot::from_bytes(&container(SNAPSHOT_SCHEMA, &variants[i]));
     assert_eq!(decode(2).expect("a repeated key decodes").isps, ["X"]);
-    let err = |i: usize| decode(i).map(|_| ()).expect_err("variant fails").to_string();
-    assert!(err(4).ends_with("StudySnapshot: missing field `isps`"), "{}", err(4));
+    let err = |i: usize| {
+        decode(i)
+            .map(|_| ())
+            .expect_err("variant fails")
+            .to_string()
+    };
+    assert!(
+        err(4).ends_with("StudySnapshot: missing field `isps`"),
+        "{}",
+        err(4)
+    );
     assert!(err(5).contains(": StudySnapshot.map: "), "{}", err(5));
     assert!(err(7).contains("JSON parse error at byte"), "{}", err(7));
-    assert!(err(8).contains("expected object for StudySnapshot"), "{}", err(8));
+    assert!(
+        err(8).contains("expected object for StudySnapshot"),
+        "{}",
+        err(8)
+    );
 }
 
 #[test]
@@ -382,8 +407,14 @@ fn cli_rejects_bad_snapshots_with_exit_3() {
     let bounds = section_bounds(&v2).unwrap();
     let cases = [
         ("notsnap.bin", b"this is not a snapshot".to_vec()),
-        ("wrong_schema.snap", container("intertubes-snapshot/v9", "{}")),
-        ("truncated.snap", container(SNAPSHOT_SCHEMA, "{}")[..12].to_vec()),
+        (
+            "wrong_schema.snap",
+            container("intertubes-snapshot/v9", "{}"),
+        ),
+        (
+            "truncated.snap",
+            container(SNAPSHOT_SCHEMA, "{}")[..12].to_vec(),
+        ),
         ("corrupt_landmarks.snap", v2_corrupt),
         ("truncated_landmarks.snap", v2[..v2.len() - 1].to_vec()),
         // Truncation at each structural boundary.
@@ -400,10 +431,20 @@ fn cli_rejects_bad_snapshots_with_exit_3() {
                 cmd.arg("{\"TopShared\":{\"k\":1}}");
             }
             let out = cmd.output().unwrap();
-            assert_eq!(out.status.code(), Some(3), "{sub} on {name}: wrong exit code");
+            assert_eq!(
+                out.status.code(),
+                Some(3),
+                "{sub} on {name}: wrong exit code"
+            );
             let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(stderr.contains("snapshot"), "{sub} on {name}: stderr was {stderr:?}");
-            assert!(!stderr.contains("panicked"), "{sub} on {name} panicked: {stderr}");
+            assert!(
+                stderr.contains("snapshot"),
+                "{sub} on {name}: stderr was {stderr:?}"
+            );
+            assert!(
+                !stderr.contains("panicked"),
+                "{sub} on {name} panicked: {stderr}"
+            );
         }
     }
 }

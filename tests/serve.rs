@@ -197,6 +197,9 @@ fn unknown_names_get_not_found_not_errors() {
         },
     ] {
         let json = eng.answer(&q).to_canonical_json();
-        assert!(json.contains("\"NotFound\""), "expected NotFound for {q:?}: {json}");
+        assert!(
+            json.contains("\"NotFound\""),
+            "expected NotFound for {q:?}: {json}"
+        );
     }
 }

@@ -69,11 +69,12 @@ fn telemetry_arm(threads: usize, cache_on: bool) -> (Vec<String>, Value, String)
     let cfg = serve_cfg(cache_on);
     let cache = ResultCache::new(cfg.cache);
     let telemetry = ServeTelemetry::new();
-    let (responses, _) =
-        with_threads(threads, || run_batch_telemetry(&eng, &queries, &cfg, &cache, &telemetry));
+    let (responses, _) = with_threads(threads, || {
+        run_batch_telemetry(&eng, &queries, &cfg, &cache, &telemetry)
+    });
     let doc = telemetry.stats_document(Some(&cache));
-    let canon = serde_json::to_string(&canonicalize_stats(&doc))
-        .expect("canonical stats serialize");
+    let canon =
+        serde_json::to_string(&canonicalize_stats(&doc)).expect("canonical stats serialize");
     (responses, doc, canon)
 }
 
@@ -128,7 +129,10 @@ fn canonical_count_plane_is_byte_identical_across_arms() {
         counts["admitted"].as_u64().unwrap_or(0) + counts["rejected"].as_u64().unwrap_or(0),
         REPLAY as u64 + 2,
     );
-    assert!(counts["waves"].as_u64().unwrap_or(0) > 1, "multi-wave replay");
+    assert!(
+        counts["waves"].as_u64().unwrap_or(0) > 1,
+        "multi-wave replay"
+    );
     let families = counts["families"].as_object().expect("families object");
     assert_eq!(families.get("stats").and_then(Value::as_u64), Some(2));
 }
@@ -169,7 +173,10 @@ fn timing_plane_is_present_in_full_doc_and_absent_from_canonical() {
     assert!(canon.get("timing").is_none());
     assert!(canon.get("cache").is_none());
     assert!(canon.get("counts").is_some(), "the count plane survives");
-    assert!(canon.get("flight").is_some(), "the flight recorder survives");
+    assert!(
+        canon.get("flight").is_some(),
+        "the flight recorder survives"
+    );
 }
 
 /// `Stats` answers come from the decide phase's completed-wave snapshot:
@@ -179,8 +186,7 @@ fn timing_plane_is_present_in_full_doc_and_absent_from_canonical() {
 fn stats_query_reports_completed_wave_state() {
     let _guard = battery_lock();
     let (responses, _, _) = telemetry_arm(1, true);
-    let mid: Value =
-        serde_json::from_str(&responses[REPLAY / 2]).expect("mid-stream Stats parses");
+    let mid: Value = serde_json::from_str(&responses[REPLAY / 2]).expect("mid-stream Stats parses");
     let last: Value = serde_json::from_str(&responses[REPLAY + 1]).expect("final Stats parses");
     for probe in [&mid, &last] {
         assert_eq!(probe["Stats"]["schema"].as_str(), Some(STATS_SCHEMA));
