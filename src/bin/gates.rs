@@ -1,8 +1,9 @@
 //! `gates` — the gate runner: everything CI measures or gates.
 //!
 //! One declarative table holds the `lint` group (every first-party manifest
-//! opts into the workspace lints, and `cargo clippy --workspace` passes
-//! with `unwrap_used`/`expect_used` denied), every CLI arm of the
+//! opts into the workspace lints, `cargo fmt --all -- --check` finds
+//! nothing to reformat, and `cargo clippy --workspace` passes with
+//! `unwrap_used`/`expect_used` denied), every CLI arm of the
 //! byte-identity contract (DESIGN.md §8, §9.5, §11–§14), and the four BENCH
 //! records with their floors. An
 //! arm is an `intertubes` argv, the exit codes it may return, and the files
@@ -18,9 +19,12 @@
 //! ```
 //!
 //! Everything lands in `gates/` at the repository root, which CI uploads.
-//! A BENCH record that passes its checks also replaces the committed one
-//! at the repository root; a failing one leaves it untouched. It exits 0
-//! when every check passes, and 1 on the first failure or any argument.
+//! Each BENCH record is judged against the committed `BENCH_*.json` at the
+//! repository root and written only to `gates/`: the runner never rewrites
+//! a baseline, so a run that passes a few percent slow cannot become the
+//! next run's reference. Re-recording a baseline is a deliberate copy from
+//! `gates/` in a commit. It exits 0 when every check passes, and 1 on the
+//! first failure or any argument.
 
 use std::fs;
 use std::net::SocketAddr;
@@ -457,9 +461,8 @@ impl Runner {
     }
 
     /// Runs a bench bin (in several processes, for a median bench) and
-    /// checks its record. The `gates/` copy is always written; the
-    /// committed copy, read before the run, is replaced only once the new
-    /// record passes.
+    /// checks its record against the committed copy. The new record is
+    /// written to `gates/` only; the committed copy is never replaced.
     fn bench(&mut self, bench: &Bench) -> Res {
         let (bin, record) = (bench.bin, bench.record);
         let path = Path::new(ROOT).join(record);
@@ -485,7 +488,6 @@ impl Runner {
         write(&self.work.join(record), text.as_bytes())?;
         let checked = parse(&text).and_then(|doc| check_bench(&doc, committed.as_ref(), bench));
         checked.map_err(|e| format!("{record}: {e}"))?;
-        write(&path, text.as_bytes())?;
         self.records += 1;
         println!("  ok   {record:<36} bench record");
         Ok(())
@@ -537,8 +539,9 @@ fn compare(work: &Path, first: &Ran, other: &Ran) -> Res {
 
 /// The `lint` group. Clippy only judges crates that opt into the
 /// workspace lints, so the root manifest and every `crates/*` manifest must
-/// (vendored stand-ins under `vendor/` are exempt); then `cargo clippy
-/// --workspace`, which covers library and binary targets, must exit 0.
+/// (vendored stand-ins under `vendor/` are exempt); then `cargo fmt --all
+/// -- --check` and `cargo clippy --workspace`, which covers library and
+/// binary targets, must both exit 0.
 fn lint() -> Res {
     let crates =
         fs::read_dir(Path::new(ROOT).join("crates")).map_err(|e| format!("crates/: {e}"))?;
@@ -565,6 +568,20 @@ fn lint() -> Res {
         "lint/workspace-opt-in",
         manifests.len()
     );
+    let fmt = Command::new(env!("CARGO"))
+        .args(["fmt", "--all", "--", "--check", "-l"])
+        .current_dir(ROOT)
+        .output();
+    let out = fmt.map_err(|e| format!("cannot run cargo fmt: {e}"))?;
+    if !out.status.success() {
+        let files = String::from_utf8_lossy(&out.stdout);
+        return Err(format!(
+            "cargo fmt --all -- --check: {}; not rustfmt-clean:\n{}",
+            out.status,
+            files.trim_end()
+        ));
+    }
+    println!("  ok   {:<36} exit 0", "lint/fmt");
     let clippy = Command::new(env!("CARGO"))
         .args(["clippy", "--workspace"])
         .current_dir(ROOT)
