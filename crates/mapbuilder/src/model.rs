@@ -214,6 +214,16 @@ impl FiberMap {
         (nodes.len(), links)
     }
 
+    /// Each conduit's length in km, by conduit index — the edge-cost table
+    /// of [`FiberMap::graph`], computed once so searches do not re-sum a
+    /// polyline per relaxation.
+    pub fn conduit_km(&self) -> Vec<f64> {
+        self.conduits
+            .iter()
+            .map(|c| c.geometry.length_km())
+            .collect()
+    }
+
     /// Builds the conduit multigraph: node ids equal map node indices, and
     /// edges are added in conduit order, so edge ids *and* edge payloads
     /// both equal conduit indices (consumers mask conduit `i` by setting

@@ -8,7 +8,8 @@
 //!   greedy selection of up to k new conduits trading global shared-risk
 //!   reduction against right-of-way deployment cost.
 //! * `latency` — §5.3's propagation-delay study: best existing vs average
-//!   existing vs best right-of-way vs line-of-sight delays.
+//!   existing vs best right-of-way vs line-of-sight delays, over the
+//!   per-pair route table the serving layer also freezes.
 //! * `exchange` — §6.3's "link exchange" proposal quantified: consortium
 //!   economics (break-even membership, required subsidy) for the conduits
 //!   the augmentation framework would add.
@@ -24,7 +25,10 @@ mod whatif;
 
 pub use augmentation::{augment, AddedConduit, AugmentationConfig, AugmentationReport};
 pub use exchange::{exchange_analysis, ExchangeConfig, ExchangeOffer, ExchangeReport};
-pub use latency::{latency_study, LatencyConfig, LatencyReport, PairLatency};
+pub use latency::{
+    build_landmarks, latency_routes, latency_study, pair_paths, LatencyConfig, LatencyReport,
+    PairLatency, PairPaths, PathSummary,
+};
 pub use robustness::{
     already_optimal_fraction, heaviest_conduits, robustness_suggestion,
     robustness_suggestion_weighted, IspRobustness, RobustnessReport,

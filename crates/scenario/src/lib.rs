@@ -36,8 +36,6 @@ mod geometry;
 mod report;
 
 pub use dsl::{Footprint, HazardModel, ScenarioError, ScenarioPlan};
-pub use engine::{
-    evaluate, EvalContext, PairRoutes, RouteIndex, RouteSummary, CRITICALITY_TOP, DRAW_CHUNK,
-};
+pub use engine::{evaluate, EvalContext, RouteIndex, CRITICALITY_TOP, DRAW_CHUNK};
 pub use geometry::{exposures, Exposure, SAMPLE_STEP_KM};
 pub use report::{ConditionalRisk, ConduitCriticality, EnsembleAccumulator, PPM};

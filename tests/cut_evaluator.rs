@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 use intertubes::geo::{GeoPoint, Polyline};
 use intertubes::map::{FiberMap, MapConduit, MapConduitId, Provenance, Tenancy, TenancySource};
 use intertubes::mitigation::{apply_cut, what_if_cut, CutEvaluator, CutReport};
-use intertubes::scenario::{PairRoutes, RouteIndex, RouteSummary};
+use intertubes::scenario::RouteIndex;
 use intertubes::serve::StudySnapshot;
 use intertubes::Study;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -198,24 +198,8 @@ fn evaluator_matches_full_rebuild_on_the_reference_snapshot() {
 fn hit_postings_match_a_scan_of_every_best_route() {
     let snap = snapshot();
     let n = snap.map.conduits.len();
-    let pairs: Vec<PairRoutes> = snap
-        .paths
-        .pairs
-        .iter()
-        .map(|pair| PairRoutes {
-            a: pair.a,
-            b: pair.b,
-            routes: pair
-                .paths
-                .iter()
-                .map(|p| RouteSummary {
-                    km: p.km,
-                    conduits: p.conduits.clone(),
-                })
-                .collect(),
-        })
-        .collect();
-    let index = RouteIndex::new(pairs.clone(), n);
+    let pairs = &snap.paths.pairs;
+    let index = RouteIndex::new(pairs, n);
     let mut rng = StdRng::seed_from_u64(3);
     let mut hits = Vec::new();
     for _ in 0..500 {
@@ -228,7 +212,7 @@ fn hit_postings_match_a_scan_of_every_best_route() {
         }
         let scanned: Vec<u32> = (0..pairs.len() as u32)
             .filter(|&i| {
-                pairs[i as usize].routes.first().is_some_and(|best| {
+                pairs[i as usize].paths.first().is_some_and(|best| {
                     best.conduits
                         .iter()
                         .any(|&c| severed.get(c as usize).copied().unwrap_or(false))
