@@ -1,6 +1,26 @@
 //! Helpers shared by the integration tests.
 
+// Each test binary compiles its own copy and uses a subset.
+#![allow(dead_code)]
+
 use std::path::PathBuf;
+
+/// The golden-file step of a test. With `REGENERATE_GOLDENS` set, writes
+/// `text` to `path` and returns `None`, so the caller skips its
+/// comparison; otherwise returns the stored text, panicking with the
+/// regeneration hint when the file is missing. `what` names the file in
+/// that message (e.g. "golden digests").
+pub fn golden(path: &str, what: &str, text: &str) -> Option<String> {
+    if std::env::var_os("REGENERATE_GOLDENS").is_some() {
+        std::fs::write(path, text).expect("golden file writable");
+        println!("regenerated {path}");
+        return None;
+    }
+    let stored = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!("missing {what} {path} ({e}); run REGENERATE_GOLDENS=1 cargo test")
+    });
+    Some(stored)
+}
 
 /// A fresh directory under the OS temp dir that is deleted, with
 /// everything in it, when the guard drops — also when the owning test
