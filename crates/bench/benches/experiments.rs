@@ -104,13 +104,7 @@ fn experiments() {
     // Substrate microbenches: the primitives everything above leans on.
     let graph = s.built.map.graph();
     let csr = graph.to_csr();
-    let lengths: Vec<f64> = s
-        .built
-        .map
-        .conduits
-        .iter()
-        .map(|c| c.geometry.length_km())
-        .collect();
+    let lengths = s.built.map.conduit_km();
     let km = |e: EdgeId| lengths[e.index()];
     let (first, last, middle) = (
         NodeId(0),
@@ -226,13 +220,7 @@ fn ablations() {
 
     // Yen k: the cost of widening the "existing paths" sample.
     let csr = s.built.map.graph().to_csr();
-    let lengths: Vec<f64> = s
-        .built
-        .map
-        .conduits
-        .iter()
-        .map(|c| c.geometry.length_km())
-        .collect();
+    let lengths = s.built.map.conduit_km();
     let km = |e: EdgeId| lengths[e.index()];
     let (src, dst) = (NodeId(0), NodeId((csr.node_count() / 2) as u32));
     let mut ws = YenWorkspace::new();
