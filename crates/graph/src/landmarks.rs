@@ -13,9 +13,10 @@
 //! uncovered components), which spreads landmarks to the graph periphery
 //! where the bounds are tightest.
 //!
-//! Distance rows are serialisable (frozen into `intertubes-snapshot/v2`
-//! containers). Unreachable entries are stored as `-1.0` rather than
-//! `f64::INFINITY` because JSON cannot represent infinities.
+//! Distance rows are frozen into `intertubes-snapshot/v3` containers
+//! through [`Landmarks::from_parts`] and the accessors, and stay
+//! serialisable for JSON reports. Unreachable entries are stored as `-1.0`
+//! rather than `f64::INFINITY` because JSON cannot represent infinities.
 
 use serde::{Deserialize, Serialize};
 
@@ -107,6 +108,43 @@ impl Landmarks {
             };
         }
         Ok(lm)
+    }
+
+    /// Reassembles a table from its parts, as [`Landmarks::node_count`],
+    /// [`Landmarks::landmark_nodes`] and [`Landmarks::distances`] return
+    /// them.
+    ///
+    /// Errors if a landmark id is not below `node_count`, or if `dist`
+    /// does not hold exactly one row of `node_count` entries per landmark.
+    pub fn from_parts(
+        node_count: u32,
+        nodes: Vec<u32>,
+        dist: Vec<f64>,
+    ) -> Result<Landmarks, GraphError> {
+        if let Some(&index) = nodes.iter().find(|&&i| i >= node_count) {
+            return Err(GraphError::NodeOutOfBounds {
+                index,
+                nodes: node_count as usize,
+            });
+        }
+        let expected = nodes.len().saturating_mul(node_count as usize);
+        if dist.len() != expected {
+            return Err(GraphError::LandmarkTable {
+                expected,
+                found: dist.len(),
+            });
+        }
+        Ok(Landmarks {
+            node_count,
+            nodes,
+            dist,
+        })
+    }
+
+    /// The flattened distance rows: `d(landmark_i, n)` at
+    /// `i * node_count + n`, `-1.0` meaning unreachable.
+    pub fn distances(&self) -> &[f64] {
+        &self.dist
     }
 
     /// Number of landmarks in the table.
@@ -215,6 +253,28 @@ mod tests {
         let back: Landmarks = serde_json::from_str(&json).unwrap();
         assert_eq!(lm, back);
         assert_eq!(back.lower_bound(NodeId(0), NodeId(3)), f64::INFINITY);
+    }
+
+    #[test]
+    fn from_parts_round_trips_and_rejects_bad_tables() {
+        let g = line(4);
+        let lm = Landmarks::build(&g.to_csr(), 2, |e| *g.edge(e)).unwrap();
+        let n = lm.node_count() as u32;
+        let ids: Vec<u32> = lm.landmark_nodes().map(|id| id.0).collect();
+        let back = Landmarks::from_parts(n, ids.clone(), lm.distances().to_vec());
+        assert_eq!(back, Ok(lm.clone()));
+        let short = lm.distances()[1..].to_vec();
+        assert_eq!(
+            Landmarks::from_parts(n, ids, short),
+            Err(GraphError::LandmarkTable {
+                expected: 8,
+                found: 7
+            })
+        );
+        assert_eq!(
+            Landmarks::from_parts(n, vec![0, 4], lm.distances().to_vec()),
+            Err(GraphError::NodeOutOfBounds { index: 4, nodes: 4 })
+        );
     }
 
     #[test]

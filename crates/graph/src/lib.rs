@@ -77,6 +77,14 @@ pub enum GraphError {
         /// The offending edge.
         edge: EdgeId,
     },
+    /// A landmark table's distance rows do not match its landmark and
+    /// node counts.
+    LandmarkTable {
+        /// Entries the counts call for: landmarks × nodes.
+        expected: usize,
+        /// Entries present.
+        found: usize,
+    },
 }
 
 impl std::fmt::Display for GraphError {
@@ -94,6 +102,10 @@ impl std::fmt::Display for GraphError {
                     "cost function returned a negative or NaN cost for edge {edge:?}"
                 )
             }
+            GraphError::LandmarkTable { expected, found } => write!(
+                f,
+                "landmark table holds {found} distances, expected {expected}"
+            ),
         }
     }
 }
