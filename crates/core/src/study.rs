@@ -277,7 +277,7 @@ impl Study {
     /// Freezes this study into a serving snapshot (DESIGN.md §9): the
     /// constructed map, the §4 risk artifacts, a traceroute overlay, the
     /// precomputed path index, and the ALT landmark tables, all sealed in
-    /// the checksummed `intertubes-snapshot/v2` container.
+    /// the checksummed `intertubes-snapshot/v3` container.
     ///
     /// `probes` sizes the embedded overlay campaign (`None` = the
     /// configured probe count). This is the expensive build phase the

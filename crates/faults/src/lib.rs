@@ -204,9 +204,9 @@ impl std::fmt::Display for FaultFamily {
 pub enum SnapshotSection {
     /// The JSON header (schema, lengths, checksums).
     Header,
-    /// The study payload.
+    /// The study payload (binary sections).
     Payload,
-    /// The v2 landmark-table section.
+    /// The landmark-table section.
     Landmarks,
 }
 

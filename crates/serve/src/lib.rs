@@ -6,11 +6,11 @@
 //! This crate splits the two concerns:
 //!
 //! * [`snapshot`] — the versioned, checksummed container
-//!   (`intertubes-snapshot/v2`; any other schema, v1 included, is
-//!   rejected) that freezes a built study: physical map, risk matrix,
+//!   (`intertubes-snapshot/v3`; any other schema, v1 and v2 included,
+//!   is rejected) that freezes a built study: physical map, risk matrix,
 //!   Hamming heat map, traceroute overlay, the precomputed
 //!   [`index::PathIndex`], and the ALT landmark tables for the live search
-//!   path;
+//!   path, in the binary sections of the `codec` module;
 //! * [`engine`] — a pure query engine answering typed [`query::Query`]
 //!   requests (per-provider risk, similarity, pair latency, top-shared
 //!   rankings, conduit-cut what-ifs, and geofenced scenario ensembles
@@ -43,6 +43,7 @@
 
 pub mod cache;
 pub mod chaos;
+mod codec;
 pub mod engine;
 pub mod index;
 pub mod query;

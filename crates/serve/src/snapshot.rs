@@ -13,20 +13,22 @@
 //! 8       8             header length H, u64 little-endian
 //! 16      H             header JSON: {"schema","payload_len","checksum",
 //!                       with landmarks: "landmarks_len","landmarks_checksum"}
-//! 16+H    payload_len   payload JSON (the StudySnapshot itself, compact)
-//! …       landmarks_len landmarks JSON (the ALT tables, when present)
+//! 16+H    payload_len   payload: length-prefixed binary sections strings,
+//!                       config, nodes, conduits, isps, risk, hamming,
+//!                       overlay, paths (crate::codec)
+//! …       landmarks_len landmarks: the ALT tables, when present
 //! ```
 //!
-//! The header names the schema (`intertubes-snapshot/v2`; any other,
-//! including the retired v1, is [`SnapshotError::WrongSchema`]) and carries
-//! an FNV-1a 64-bit checksum per section, so truncation, bit rot, and
-//! version skew are all detected before any payload parsing happens. The
-//! ALT landmark tables ride in their own checksummed section rather than
-//! inside the payload, so a corrupt section is reported as exactly that
-//! ([`SnapshotError::SectionChecksumMismatch`]) instead of a payload
-//! parse error. Both header and payload serialization are deterministic
-//! (fixed key order, round-trip-stable float formatting), which gives the
-//! serialization suite its byte-identical save→load→re-save guarantee.
+//! The header names the schema (`intertubes-snapshot/v3`; any other,
+//! including the retired v1 and v2, is [`SnapshotError::WrongSchema`]) and
+//! carries an FNV-1a 64-bit checksum per section, so truncation, bit rot,
+//! and version skew are all detected before any payload decoding happens.
+//! The ALT landmark tables ride in their own checksummed section rather
+//! than inside the payload, so a corrupt section is reported as exactly
+//! that ([`SnapshotError::SectionChecksumMismatch`]) instead of a payload
+//! error. The encoding is deterministic and the decoder accepts one
+//! spelling of each value (the header included), so whatever loads
+//! re-saves to the same bytes.
 
 use std::path::Path;
 
@@ -34,14 +36,14 @@ use intertubes_graph::Landmarks;
 use intertubes_map::FiberMap;
 use intertubes_probes::Overlay;
 use intertubes_risk::{HammingHeatmap, RiskMatrix};
-use serde::{Deserialize, Serialize};
 
+use crate::codec;
 use crate::index::PathIndex;
 
 /// The schema identifier every container is written and read under: the
 /// payload, plus a checksummed landmarks section when the snapshot carries
 /// landmark tables.
-pub const SNAPSHOT_SCHEMA: &str = "intertubes-snapshot/v2";
+pub const SNAPSHOT_SCHEMA: &str = "intertubes-snapshot/v3";
 
 /// The 8-byte container magic. The embedded `\r\n` catches newline-mangling
 /// transports, like PNG's signature does.
@@ -165,7 +167,7 @@ impl SnapshotError {
 pub struct SectionBounds {
     /// The header JSON: `[start, end)`.
     pub header: (usize, usize),
-    /// The payload JSON: `[start, end)`.
+    /// The binary payload sections: `[start, end)`.
     pub payload: (usize, usize),
     /// The landmarks section, when the header declares one.
     pub landmarks: Option<(usize, usize)>,
@@ -230,116 +232,10 @@ pub struct StudySnapshot {
     /// ALT landmark tables over the conduit graph, frozen so the serving
     /// layer's live searches start pruned without a rebuild.
     ///
-    /// Not part of the payload JSON: the tables travel in their own
+    /// Not part of the payload: the tables travel in their own
     /// checksummed container section. `None` when the container has no
     /// such section (the engine rebuilds them deterministically).
     pub landmarks: Option<Landmarks>,
-}
-
-// Serialization is hand-written (not derived) so `landmarks` stays out of
-// the payload JSON: the tables travel in the container's own checksummed
-// section, and the payload bytes stay identical whether or not landmarks
-// are attached.
-impl Serialize for StudySnapshot {
-    fn to_json_value(&self) -> serde::Value {
-        let mut map = serde::Map::new();
-        map.insert("config".into(), self.config.to_json_value());
-        map.insert("map".into(), self.map.to_json_value());
-        map.insert("isps".into(), self.isps.to_json_value());
-        map.insert("risk".into(), self.risk.to_json_value());
-        map.insert("hamming".into(), self.hamming.to_json_value());
-        map.insert("overlay".into(), self.overlay.to_json_value());
-        map.insert("paths".into(), self.paths.to_json_value());
-        serde::Value::Object(map)
-    }
-}
-
-impl Deserialize for StudySnapshot {
-    fn from_json_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = value.as_object().ok_or_else(|| {
-            serde::Error::custom(format!("expected object for StudySnapshot, got {value:?}"))
-        })?;
-        let mut sections = Sections::default();
-        for (key, value) in obj.iter() {
-            sections.take(key, value);
-        }
-        sections.finish()
-    }
-}
-
-/// The payload's sections, each converted as soon as its member is parsed
-/// so its JSON tree can be dropped before the next one is built. The
-/// outcome matches a derived `Deserialize`: a repeated key keeps its last
-/// value, unknown keys are ignored, and the first failing field in
-/// declaration order names the error.
-#[derive(Default)]
-struct Sections {
-    config: Option<Result<serde_json::Value, serde::Error>>,
-    map: Option<Result<FiberMap, serde::Error>>,
-    isps: Option<Result<Vec<String>, serde::Error>>,
-    risk: Option<Result<RiskMatrix, serde::Error>>,
-    hamming: Option<Result<HammingHeatmap, serde::Error>>,
-    overlay: Option<Result<Overlay, serde::Error>>,
-    paths: Option<Result<PathIndex, serde::Error>>,
-}
-
-impl Sections {
-    fn take(&mut self, key: &str, value: &serde::Value) {
-        match key {
-            "config" => self.config = Some(Deserialize::from_json_value(value)),
-            "map" => self.map = Some(Deserialize::from_json_value(value)),
-            "isps" => self.isps = Some(Deserialize::from_json_value(value)),
-            "risk" => self.risk = Some(Deserialize::from_json_value(value)),
-            "hamming" => self.hamming = Some(Deserialize::from_json_value(value)),
-            "overlay" => self.overlay = Some(Deserialize::from_json_value(value)),
-            "paths" => self.paths = Some(Deserialize::from_json_value(value)),
-            _ => {}
-        }
-    }
-
-    fn finish(self) -> Result<StudySnapshot, serde::Error> {
-        Ok(StudySnapshot {
-            config: section(self.config, "config")?,
-            map: section(self.map, "map")?,
-            isps: section(self.isps, "isps")?,
-            risk: section(self.risk, "risk")?,
-            hamming: section(self.hamming, "hamming")?,
-            overlay: section(self.overlay, "overlay")?,
-            paths: section(self.paths, "paths")?,
-            landmarks: None,
-        })
-    }
-}
-
-/// One converted section, with `serde::__get_field`'s error context; a
-/// missing section converts from `null` like an absent struct field.
-fn section<T: Deserialize>(
-    slot: Option<Result<T, serde::Error>>,
-    field: &str,
-) -> Result<T, serde::Error> {
-    match slot {
-        Some(converted) => {
-            converted.map_err(|e| serde::Error::custom(format!("StudySnapshot.{field}: {e}")))
-        }
-        None => T::from_json_value(&serde::Value::Null)
-            .map_err(|_| serde::Error::custom(format!("StudySnapshot: missing field `{field}`"))),
-    }
-}
-
-/// Decodes the payload JSON member by member, so at most one section's
-/// JSON tree is alive at a time. Errors are those of
-/// `serde_json::from_str::<StudySnapshot>`.
-fn decode_payload(text: &str) -> Result<StudySnapshot, serde::Error> {
-    if !text
-        .trim_start_matches([' ', '\t', '\n', '\r'])
-        .starts_with('{')
-    {
-        // Not an object: the tree decoder reports it, naming the type.
-        return serde_json::from_str(text);
-    }
-    let mut sections = Sections::default();
-    serde_json::for_each_member(text, |key, value| sections.take(&key, &value))?;
-    sections.finish()
 }
 
 impl StudySnapshot {
@@ -347,40 +243,28 @@ impl StudySnapshot {
     /// landmark tables are present. Deterministic: the same snapshot always
     /// yields the same bytes.
     pub fn to_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
-        let payload =
-            serde_json::to_string(self).map_err(|e| SnapshotError::Payload(e.to_string()))?;
-        let checksum = fnv1a64(payload.as_bytes());
-        let landmarks = match &self.landmarks {
-            Some(lm) => Some(
-                serde_json::to_string(lm).map_err(|e| SnapshotError::BadSection {
-                    section: "landmarks",
-                    error: e.to_string(),
-                })?,
-            ),
-            None => None,
-        };
-        // The header is assembled by hand so its key order is fixed by
-        // these lines, not by a map implementation.
-        let mut header = format!(
-            "{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"payload_len\":{},\"checksum\":\"{checksum:016x}\"",
-            payload.len()
+        let payload = codec::encode_payload(self)?;
+        let landmarks = self
+            .landmarks
+            .as_ref()
+            .map(codec::encode_landmarks)
+            .transpose()?;
+        let lm_sum = landmarks
+            .as_ref()
+            .map(|lm| (lm.len(), format!("{:016x}", fnv1a64(lm))));
+        let header = header_text(
+            payload.len(),
+            &format!("{:016x}", fnv1a64(&payload)),
+            lm_sum.as_ref().map(|(len, sum)| (*len, sum.as_str())),
         );
-        if let Some(section) = &landmarks {
-            header += &format!(
-                ",\"landmarks_len\":{},\"landmarks_checksum\":\"{:016x}\"",
-                section.len(),
-                fnv1a64(section.as_bytes())
-            );
-        }
-        header.push('}');
-        let lm_len = landmarks.as_ref().map_or(0, |s| s.len());
+        let lm_len = landmarks.as_ref().map_or(0, Vec::len);
         let mut out = Vec::with_capacity(16 + header.len() + payload.len() + lm_len);
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.extend_from_slice(&(header.len() as u64).to_le_bytes());
         out.extend_from_slice(header.as_bytes());
-        out.extend_from_slice(payload.as_bytes());
+        out.extend_from_slice(&payload);
         if let Some(section) = landmarks {
-            out.extend_from_slice(section.as_bytes());
+            out.extend_from_slice(&section);
         }
         Ok(out)
     }
@@ -407,9 +291,9 @@ impl StudySnapshot {
                 have: bytes.len(),
             });
         }
-        let header_text = std::str::from_utf8(&bytes[16..header_end])
+        let header_raw = std::str::from_utf8(&bytes[16..header_end])
             .map_err(|e| SnapshotError::BadHeader(e.to_string()))?;
-        let header: serde_json::Value = serde_json::from_str(header_text)
+        let header: serde_json::Value = serde_json::from_str(header_raw)
             .map_err(|e| SnapshotError::BadHeader(e.to_string()))?;
         let schema = header
             .get("schema")
@@ -420,23 +304,35 @@ impl StudySnapshot {
                 found: schema.to_string(),
             });
         }
-        let payload_len = header
-            .get("payload_len")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| SnapshotError::BadHeader("missing \"payload_len\"".into()))?
-            as usize;
-        let expected = header
-            .get("checksum")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| SnapshotError::BadHeader("missing \"checksum\"".into()))?;
-        let payload_end = header_end.saturating_add(payload_len);
-        if bytes.len() < payload_end {
-            return Err(SnapshotError::Truncated {
-                needed: payload_end,
-                have: bytes.len(),
-            });
+        let field = |key: &str| {
+            header
+                .get(key)
+                .ok_or_else(|| SnapshotError::BadHeader(format!("missing \"{key}\"")))
+        };
+        let len = |key: &str| {
+            field(key)?
+                .as_u64()
+                .map(|v| v as usize)
+                .ok_or_else(|| SnapshotError::BadHeader(format!("\"{key}\" is not a length")))
+        };
+        let sum = |key: &str| {
+            field(key)?
+                .as_str()
+                .ok_or_else(|| SnapshotError::BadHeader(format!("\"{key}\" is not a string")))
+        };
+        let payload_len = len("payload_len")?;
+        let expected = sum("checksum")?;
+        let landmarks = match header.get("landmarks_len") {
+            Some(_) => Some((len("landmarks_len")?, sum("landmarks_checksum")?)),
+            None => None,
+        };
+        if header_text(payload_len, expected, landmarks) != header_raw {
+            return Err(SnapshotError::BadHeader(
+                "header is not in canonical form".into(),
+            ));
         }
-        let payload = &bytes[header_end..payload_end];
+        let payload = section(bytes, header_end, payload_len)?;
+        let payload_end = header_end + payload_len;
         let found = format!("{:016x}", fnv1a64(payload));
         if found != expected {
             return Err(SnapshotError::ChecksumMismatch {
@@ -444,55 +340,28 @@ impl StudySnapshot {
                 found,
             });
         }
-        let text =
-            std::str::from_utf8(payload).map_err(|e| SnapshotError::Payload(e.to_string()))?;
-        let mut snap = decode_payload(text).map_err(|e| SnapshotError::Payload(e.to_string()))?;
-        if header.get("landmarks_len").is_some() {
-            snap.landmarks = Some(Self::parse_landmarks(bytes, &header, payload_end)?);
+        let mut snap = codec::decode_payload(payload)?;
+        let mut end = payload_end;
+        if let Some((section_len, expected)) = landmarks {
+            let section = section(bytes, payload_end, section_len)?;
+            end += section_len;
+            let found = format!("{:016x}", fnv1a64(section));
+            if found != expected {
+                return Err(SnapshotError::SectionChecksumMismatch {
+                    section: "landmarks",
+                    expected: expected.to_string(),
+                    found,
+                });
+            }
+            snap.landmarks = Some(codec::decode_landmarks(section, snap.map.nodes.len())?);
+        }
+        if bytes.len() > end {
+            return Err(SnapshotError::BadHeader(format!(
+                "{} bytes follow the sections the header declares",
+                bytes.len() - end
+            )));
         }
         Ok(snap)
-    }
-
-    /// Validates and parses the landmarks section, whose extent and
-    /// checksum the header declares.
-    fn parse_landmarks(
-        bytes: &[u8],
-        header: &serde_json::Value,
-        section_start: usize,
-    ) -> Result<Landmarks, SnapshotError> {
-        let section_len = header
-            .get("landmarks_len")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| SnapshotError::BadHeader("missing \"landmarks_len\"".into()))?
-            as usize;
-        let expected = header
-            .get("landmarks_checksum")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| SnapshotError::BadHeader("missing \"landmarks_checksum\"".into()))?;
-        let section_end = section_start.saturating_add(section_len);
-        if bytes.len() < section_end {
-            return Err(SnapshotError::Truncated {
-                needed: section_end,
-                have: bytes.len(),
-            });
-        }
-        let section = &bytes[section_start..section_end];
-        let found = format!("{:016x}", fnv1a64(section));
-        if found != expected {
-            return Err(SnapshotError::SectionChecksumMismatch {
-                section: "landmarks",
-                expected: expected.to_string(),
-                found,
-            });
-        }
-        let text = std::str::from_utf8(section).map_err(|e| SnapshotError::BadSection {
-            section: "landmarks",
-            error: e.to_string(),
-        })?;
-        serde_json::from_str(text).map_err(|e| SnapshotError::BadSection {
-            section: "landmarks",
-            error: e.to_string(),
-        })
     }
 
     /// Writes the container to `path` **crash-safely**: the bytes go to
@@ -526,6 +395,29 @@ impl StudySnapshot {
         .map(|report| report.snapshot)
         .map_err(|e| e.into_snapshot_error())
     }
+}
+
+/// The header JSON for the given section lengths and hex checksums. The
+/// key order is fixed by these lines, not by a map implementation, and a
+/// header that differs from this text is rejected.
+fn header_text(payload_len: usize, checksum: &str, landmarks: Option<(usize, &str)>) -> String {
+    let mut header = format!(
+        "{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"payload_len\":{payload_len},\"checksum\":\"{checksum}\""
+    );
+    if let Some((len, sum)) = landmarks {
+        header += &format!(",\"landmarks_len\":{len},\"landmarks_checksum\":\"{sum}\"");
+    }
+    header.push('}');
+    header
+}
+
+/// The `len` bytes of `bytes` from `start`, or how far they fall short.
+fn section(bytes: &[u8], start: usize, len: usize) -> Result<&[u8], SnapshotError> {
+    let end = start.saturating_add(len);
+    bytes.get(start..end).ok_or(SnapshotError::Truncated {
+        needed: end,
+        have: bytes.len(),
+    })
 }
 
 #[cfg(test)]
