@@ -154,9 +154,22 @@ mod tests {
         assert!((d - 196.0).abs() < 5.0, "got {d}");
     }
 
+    /// Bit-for-bit symmetry, not just closeness: a distance table may
+    /// store one order of each pair and mirror it. Every city pair of the
+    /// pinned worlds is checked in `tests/determinism.rs`.
     #[test]
-    fn distance_is_symmetric_and_zero_on_self() {
-        assert_eq!(MADISON.distance_km(&CHICAGO), CHICAGO.distance_km(&MADISON));
+    fn distance_is_bit_symmetric_and_zero_on_self() {
+        let d = |a: &GeoPoint, b: &GeoPoint| a.distance_km(b).to_bits();
+        assert_eq!(d(&MADISON, &CHICAGO), d(&CHICAGO, &MADISON));
+        let grid: Vec<GeoPoint> = (0..12)
+            .flat_map(|i| (0..12).map(move |j| (i, j)))
+            .map(|(i, j)| GeoPoint::new_unchecked(24.3 + 2.17 * i as f64, -124.7 + 4.93 * j as f64))
+            .collect();
+        for a in &grid {
+            for b in &grid {
+                assert_eq!(d(a, b), d(b, a), "{a:?} / {b:?}");
+            }
+        }
         assert!(MADISON.distance_km(&MADISON) < 1e-9);
     }
 

@@ -390,6 +390,25 @@ fn graph_callers_match_golden_digests() {
 /// the reference seed, a few small ones, and the paper's year.
 const WORLD_SEEDS: [u64; 6] = [1504, 1, 2, 7, 42, 2015];
 
+/// Haversine distance is bit-symmetric over every city pair of the pinned
+/// worlds, so a world distance table may compute one order of each pair
+/// and mirror it without changing a bit. The six seeds share one city
+/// table (`load_cities` takes no seed), which is the table the road
+/// network's distance scan reads.
+#[test]
+fn haversine_is_bit_symmetric_over_every_world_city_pair() {
+    let cities = intertubes::atlas::load_cities();
+    for (i, a) in cities.iter().enumerate() {
+        for b in &cities[i + 1..] {
+            let (ab, ba) = (
+                a.location.distance_km(&b.location),
+                b.location.distance_km(&a.location),
+            );
+            assert_eq!(ab.to_bits(), ba.to_bits(), "{} / {}", a.label(), b.label());
+        }
+    }
+}
+
 /// Every layer of world generation, pinned by digest per seed: the road,
 /// rail and pipeline corridors (pairs and geometry), the conduit system
 /// with each attractiveness as its exact bits, the grown footprints with
