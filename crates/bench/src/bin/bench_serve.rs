@@ -6,7 +6,8 @@
 //! 1. **Is loading a snapshot cheaper than rebuilding the study?** The
 //!    full §2–5 rebuild (world → corpus → four-step pipeline → risk →
 //!    overlay → path index) is timed once, then the frozen snapshot is
-//!    parsed from bytes a few times and the median is reported.
+//!    encoded to bytes (`save_ms`) and decoded from them (`load_ms`) a
+//!    few times each, and the medians are reported.
 //! 2. **Is serving deterministic under concurrency and caching?** The
 //!    same 10 k mixed-query replay runs at one thread and at the
 //!    environment's thread count, with the result cache on and off, and
@@ -33,6 +34,12 @@ const REPLAY: usize = 10_000;
 const SEED: u64 = 2026;
 const LOAD_ITERS: usize = 3;
 
+/// The median of `samples`, in place.
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
 }
@@ -47,13 +54,22 @@ fn main() {
     let snap = study().snapshot(Some(10_000));
     let rebuild_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let bytes = match snap.to_bytes() {
+    let encode = || match snap.to_bytes() {
         Ok(b) => b,
         Err(e) => {
             eprintln!("bench_serve: snapshot serialization failed: {e}");
             std::process::exit(1);
         }
     };
+    let bytes = encode();
+    let mut save_samples: Vec<f64> = (0..LOAD_ITERS)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(encode());
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    let save_ms = median(&mut save_samples);
 
     // Arm 1: parsing the frozen container, median of a few runs.
     let mut load_samples: Vec<f64> = (0..LOAD_ITERS)
@@ -69,8 +85,7 @@ fn main() {
             t.elapsed().as_secs_f64() * 1e3
         })
         .collect();
-    load_samples.sort_by(f64::total_cmp);
-    let load_ms = load_samples[load_samples.len() / 2];
+    let load_ms = median(&mut load_samples);
 
     let loaded = match StudySnapshot::from_bytes(&bytes) {
         Ok(s) => s,
@@ -154,6 +169,7 @@ fn main() {
         "cores": cores,
         "snapshot_bytes": bytes.len(),
         "rebuild_ms": round3(rebuild_ms),
+        "save_ms": round3(save_ms),
         "load_ms": round3(load_ms),
         "load_speedup": round3(if load_ms > 0.0 { rebuild_ms / load_ms } else { 0.0 }),
         "p50_us": headline["p50_us"].clone(),

@@ -185,7 +185,7 @@ fn table() -> Vec<(&'static str, Vec<Step>)> {
         replay("t8", 8, "--stats /dev/null"),
         replay("t2-nocache", 2, "--no-cache --stats /dev/null"),
         bench("bench_serve", "BENCH_serve.json",
-              "rebuild_ms load_ms p50_us p99_us hit_rate max_queue_depth"),
+              "rebuild_ms save_ms load_ms p50_us p99_us hit_rate max_queue_depth"),
     ];
 
     // Every built-in chaos scenario under both policies exits 0 or 3 (never
