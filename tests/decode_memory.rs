@@ -1,8 +1,8 @@
 //! Decode-memory guard for the snapshot container (DESIGN.md §9.1).
 //!
-//! `StudySnapshot::from_bytes` parses the payload one section at a time
-//! and builds every JSON array and object at exact size, so its heap peak
-//! stays a small multiple of the container it decodes. This binary counts
+//! `StudySnapshot::from_bytes` decodes each binary section straight into
+//! vectors reserved once at their final size, so its heap peak stays a
+//! small multiple of the container it decodes. This binary counts
 //! every allocation through its own global allocator and fails if the
 //! decode ever peaks at 4× the container's bytes or more above the heap
 //! it started from. The bound is a property of the decoder's allocation
