@@ -19,16 +19,21 @@
 //!
 //! 1. a [`with_threads`] override (tests and benches);
 //! 2. the `INTERTUBES_THREADS` environment variable;
-//! 3. the machine's available parallelism.
+//! 3. the machine's available parallelism, resolved once per process
+//!    (on Linux it reads cgroup files, which costs far more than the
+//!    environment lookup that is still made on every call).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Test/bench override installed by [`with_threads`] (0 = none).
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// The machine's available parallelism, resolved on first use.
+static MACHINE: OnceLock<usize> = OnceLock::new();
 
 /// Serializes [`with_threads`] callers so concurrent overrides cannot
 /// interleave.
@@ -47,7 +52,7 @@ pub fn thread_count() -> usize {
     {
         return n;
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    *MACHINE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Runs `f` with the thread count pinned to `n` (≥ 1), restoring the
@@ -182,6 +187,27 @@ mod tests {
             changed.is_empty(),
             "with_threads changed the environment: {changed:?}"
         );
+    }
+
+    #[test]
+    fn the_environment_is_read_on_every_call() {
+        const VAR: &str = "INTERTUBES_THREADS";
+        // Held throughout, so no sibling test's override is installed and
+        // the environment test sees the variable only as it was.
+        locked(|| {
+            let before = std::env::var_os(VAR);
+            std::env::remove_var(VAR);
+            let machine = thread_count();
+            for n in ["5", "3"] {
+                std::env::set_var(VAR, n);
+                assert_eq!(thread_count().to_string(), n);
+            }
+            std::env::remove_var(VAR);
+            assert_eq!(thread_count(), machine);
+            if let Some(v) = before {
+                std::env::set_var(VAR, v);
+            }
+        });
     }
 
     fn distinct(ids: &[ThreadId]) -> HashSet<ThreadId> {
