@@ -7,7 +7,7 @@
 
 use intertubes_atlas::{tenant_counts, ConduitId, MapKind, RowType, World, MAPPED_ISPS};
 
-fn main() {
+fn main() -> Result<(), String> {
     let w = World::reference();
     let counts = tenant_counts(&w.system, w.mapped_footprints());
 
@@ -59,7 +59,12 @@ fn main() {
 
     // Footprint sizes of the headline ISPs.
     for name in ["EarthLink", "Level 3", "TWC", "Verizon", "Suddenlink"] {
-        let i = w.roster.iter().position(|p| p.name == name).unwrap();
+        let i = w
+            .roster
+            .iter()
+            .position(|p| p.name == name)
+            .ok_or_else(|| format!("{name} is not in the roster"))?;
         println!("{name}: {} conduits", w.footprints[i].conduits.len());
     }
+    Ok(())
 }

@@ -16,8 +16,8 @@
 use std::hint::black_box;
 
 use intertubes::geo::{
-    haversine_km, CorridorIndex, CorridorLayer, GeoPoint, LocalProjection, OverlapParams, Polyline,
-    SegmentGrid,
+    haversine_km, CorridorIndex, CorridorLayer, GeoError, GeoPoint, LocalProjection, OverlapParams,
+    Polyline, SegmentGrid,
 };
 use intertubes::graph::{
     csr_dijkstra, stoer_wagner_min_cut, yen_k_shortest_csr, EdgeId, NodeId, SearchState,
@@ -42,19 +42,19 @@ fn row<R>(name: &str, runs: usize, run: impl FnMut() -> R) {
     println!("bench: {name:<50} {ms:>12.3} ms (median of {runs})");
 }
 
-fn main() {
+fn main() -> Result<(), GeoError> {
     if !std::env::args().any(|a| a == "--bench") {
-        return;
+        return Ok(());
     }
-    experiments();
-    ablations();
+    experiments()?;
+    ablations()
 }
 
-fn experiments() {
+fn experiments() -> Result<(), GeoError> {
     let s = study();
 
     // fig4/fig5: corridor co-location analysis (§3).
-    let idx = corridor_index(&s.world.roads, &s.world.rails, &s.world.pipelines, 5.0).unwrap();
+    let idx = corridor_index(&s.world.roads, &s.world.rails, &s.world.pipelines, 5.0)?;
     let params = OverlapParams {
         buffer_km: 5.0,
         sample_step_km: 2.0,
@@ -136,9 +136,10 @@ fn experiments() {
         HEAVY_RUNS,
         intertubes::atlas::World::reference,
     );
+    Ok(())
 }
 
-fn ablations() {
+fn ablations() -> Result<(), GeoError> {
     let s = study();
 
     // Grid cell size for the co-location query load.
@@ -155,7 +156,7 @@ fn ablations() {
         .map(|c| &c.geometry)
         .collect();
     for cell_km in [2.0, 5.0, 15.0, 40.0] {
-        let mut idx = CorridorIndex::new(cell_km).unwrap();
+        let mut idx = CorridorIndex::new(cell_km)?;
         for (tag, g) in s.world.roads.geometries() {
             idx.add_corridor(CorridorLayer::Road, g, tag);
         }
@@ -170,7 +171,7 @@ fn ablations() {
     }
 
     // Grid vs brute force for nearest-segment queries.
-    let mut grid = SegmentGrid::new(5.0).unwrap();
+    let mut grid = SegmentGrid::new(5.0)?;
     let mut segments: Vec<(GeoPoint, GeoPoint)> = Vec::new();
     for (tag, g) in s.world.roads.geometries() {
         grid.insert_polyline(g, tag);
@@ -251,4 +252,5 @@ fn ablations() {
             || run_campaign(&s.world, &cfg),
         );
     }
+    Ok(())
 }

@@ -7,10 +7,14 @@
 
 use intertubes::{map::summarize, Study, StudyConfig};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed: u64 = std::env::args()
         .nth(1)
-        .map(|s| s.parse().expect("seed must be an integer"))
+        .map(|s| {
+            s.parse()
+                .map_err(|e| format!("seed must be an integer: {e}"))
+        })
+        .transpose()?
         .unwrap_or(1504);
     let mut cfg = StudyConfig::default();
     cfg.world.seed = seed;
@@ -52,4 +56,5 @@ fn main() {
         );
     }
     println!("  (paper: 89.7 %, 63.3 %, 53.5 %)");
+    Ok(())
 }

@@ -9,7 +9,7 @@
 use intertubes::risk::{hamming_heatmap, isp_sharing_ranking};
 use intertubes::Study;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let isp = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "Sprint".to_string());
@@ -45,7 +45,7 @@ fn main() {
     let pos = ranking
         .iter()
         .position(|r| r.isp == isp)
-        .expect("isp is in the ranking");
+        .ok_or_else(|| format!("{isp} is not in the Fig. 6 ranking"))?;
     println!(
         "\nFig. 6 ranking position: {} of {} (1 = least infrastructure sharing)",
         pos + 1,
@@ -96,4 +96,5 @@ fn main() {
             println!("suggested peers (Table 5): {}", peers.join(" | "));
         }
     }
+    Ok(())
 }

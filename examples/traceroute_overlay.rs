@@ -10,10 +10,14 @@ use intertubes::probes::Direction;
 use intertubes::risk::traffic_risk;
 use intertubes::Study;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let probes: usize = std::env::args()
         .nth(1)
-        .map(|s| s.parse().expect("probe count must be an integer"))
+        .map(|s| {
+            s.parse()
+                .map_err(|e| format!("probe count must be an integer: {e}"))
+        })
+        .transpose()?
         .unwrap_or(50_000);
 
     let study = Study::reference();
@@ -65,4 +69,5 @@ fn main() {
     }
     println!("\nthe overlay only ever raises the sharing estimate — the paper's");
     println!("conclusion: risk from infrastructure sharing is *understated* by maps alone.");
+    Ok(())
 }

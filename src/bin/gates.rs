@@ -2,12 +2,12 @@
 //!
 //! One declarative table holds the `lint` group (every first-party manifest
 //! opts into the workspace lints, `cargo fmt --all -- --check` finds
-//! nothing to reformat, and `cargo clippy --workspace` passes with
-//! `unwrap_used`/`expect_used` denied), every CLI arm of the
-//! byte-identity contract (DESIGN.md §8, §9.5, §11–§14), and the four BENCH
-//! records with their floors. An
-//! arm is an `intertubes` argv, the exit codes it may return, and the files
-//! it writes. Arms whose names differ only in their last `/` segment form a
+//! nothing to reformat, and `cargo clippy --workspace --all-targets`
+//! passes with `unwrap_used`/`expect_used` denied outside tests), every
+//! CLI arm of the byte-identity contract (DESIGN.md §8, §9.5, §11–§14),
+//! and the four BENCH records with their floors. An arm is an
+//! `intertubes` argv, the exit codes it may return, and the files it
+//! writes. Arms whose names differ only in their last `/` segment form a
 //! compare group: they must agree on their exit code and, when they
 //! succeed, write byte-identical files (byte-identical canonical forms for
 //! stats documents). The reference world is frozen once, plus the
@@ -126,7 +126,8 @@ enum Step {
     /// a client's argv becomes the address the server writes to `.1`.
     Listen(Arm, String, Vec<Arm>),
     Bench(Bench),
-    /// The workspace-lint opt-in sweep and `cargo clippy --workspace`.
+    /// The workspace-lint opt-in sweep and `cargo clippy --workspace
+    /// --all-targets`.
     Lint,
 }
 
@@ -540,8 +541,10 @@ fn compare(work: &Path, first: &Ran, other: &Ran) -> Res {
 /// The `lint` group. Clippy only judges crates that opt into the
 /// workspace lints, so the root manifest and every `crates/*` manifest must
 /// (vendored stand-ins under `vendor/` are exempt); then `cargo fmt --all
-/// -- --check` and `cargo clippy --workspace`, which covers library and
-/// binary targets, must both exit 0.
+/// -- --check` and `cargo clippy --workspace --all-targets`, which covers
+/// library, binary, test, bench and example targets, must both exit 0.
+/// The root `clippy.toml` allows `unwrap`/`expect` in `#[test]` functions
+/// and `#[cfg(test)]` modules only.
 fn lint() -> Res {
     let crates =
         fs::read_dir(Path::new(ROOT).join("crates")).map_err(|e| format!("crates/: {e}"))?;
@@ -583,7 +586,7 @@ fn lint() -> Res {
     }
     println!("  ok   {:<36} exit 0", "lint/fmt");
     let clippy = Command::new(env!("CARGO"))
-        .args(["clippy", "--workspace"])
+        .args(["clippy", "--workspace", "--all-targets"])
         .current_dir(ROOT)
         .output();
     let out = clippy.map_err(|e| format!("cannot run cargo clippy: {e}"))?;
@@ -595,7 +598,7 @@ fn lint() -> Res {
             .take(30)
             .collect();
         return Err(format!(
-            "cargo clippy --workspace: {}\n{}",
+            "cargo clippy --workspace --all-targets: {}\n{}",
             out.status,
             lines.join("\n")
         ));

@@ -462,7 +462,9 @@ fn digest(text: &str) -> String {
 fn golden_round(name: &str, plan: &FaultPlan, policy: DegradationPolicy) -> (String, String) {
     let dir = ScratchDir::new(&format!("chaos-golden-{name}-{policy:?}"));
     let path = dir.join("golden.snap");
-    snapshot().save(&path).unwrap();
+    snapshot()
+        .save(&path)
+        .unwrap_or_else(|e| panic!("scratch save: {e}"));
     let session = ChaosSession::new(plan.clone(), policy);
     let retry = session.retry_policy();
     let save = match save_with(&session, snapshot(), &path, &retry) {

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 /// that message (e.g. "golden digests").
 pub fn golden(path: &str, what: &str, text: &str) -> Option<String> {
     if std::env::var_os("REGENERATE_GOLDENS").is_some() {
-        std::fs::write(path, text).expect("golden file writable");
+        std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {what} {path}: {e}"));
         println!("regenerated {path}");
         return None;
     }
@@ -34,7 +34,8 @@ impl ScratchDir {
     pub fn new(name: &str) -> ScratchDir {
         let dir = std::env::temp_dir().join(format!("intertubes-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        std::fs::create_dir_all(&dir)
+            .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
         ScratchDir(dir)
     }
 

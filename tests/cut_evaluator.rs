@@ -103,7 +103,7 @@ fn reference_cut(map: &FiberMap, isps: &[String], cut: &[MapConduitId]) -> CutRe
 }
 
 fn bytes(report: &CutReport) -> String {
-    serde_json::to_string(report).expect("a CutReport serializes")
+    serde_json::to_string(report).unwrap_or_else(|e| panic!("a CutReport serializes: {e}"))
 }
 
 /// A random cut over `n` conduits: 0–8 ids, some repeated, some past the

@@ -34,8 +34,8 @@ fn strict_config() -> StudyConfig {
 fn baseline() -> &'static (Study, DegradationReport, Campaign) {
     static S: OnceLock<(Study, DegradationReport, Campaign)> = OnceLock::new();
     S.get_or_init(|| {
-        let (study, report) =
-            Study::new_checked(StudyConfig::default()).expect("clean build succeeds");
+        let (study, report) = Study::new_checked(StudyConfig::default())
+            .unwrap_or_else(|e| panic!("clean build succeeds: {e}"));
         let campaign = study.campaign(Some(5_000));
         (study, report, campaign)
     })

@@ -107,7 +107,9 @@ fn spawn_two_snapshots(cache: bool, chaos: Option<&FaultPlan>) -> RunningServer 
     if let Some(plan) = chaos {
         server = server.with_chaos(plan);
     }
-    server.spawn("127.0.0.1:0").unwrap()
+    server
+        .spawn("127.0.0.1:0")
+        .unwrap_or_else(|e| panic!("loopback server starts: {e}"))
 }
 
 const REPLAY: usize = 120;
@@ -236,23 +238,24 @@ fn hot_tenant_quota_exhaustion_cannot_reject_a_quiet_tenant() {
     assert_eq!(tenants["quiet"]["submitted"].as_u64(), Some(5));
 }
 
-/// Sends raw bytes and reads whatever single frame (if any) comes back
-/// before the peer closes or the deadline passes.
-fn raw_exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> Option<Frame> {
-    let mut stream = TcpStream::connect(addr).unwrap();
+/// Sends raw bytes and reads the single frame that comes back, or says
+/// why none did before the peer closed or the deadline passed.
+fn raw_exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> Result<Frame, String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream.write_all(bytes).unwrap();
+        .map_err(|e| format!("set timeout: {e}"))?;
+    stream.write_all(bytes).map_err(|e| format!("send: {e}"))?;
     let mut reader = intertubes::net::FrameReader::new();
     let mut buf = [0u8; 4096];
     loop {
         match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return None,
+            Ok(0) => return Err("the peer closed without a frame".into()),
+            Err(e) => return Err(format!("no frame: {e}")),
             Ok(n) => {
                 reader.feed(&buf[..n]);
                 if let Ok(Some(frame)) = reader.next_frame() {
-                    return Some(frame);
+                    return Ok(frame);
                 }
             }
         }
@@ -262,7 +265,8 @@ fn raw_exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> Option<Frame> {
 /// The error label of a frame's `{"error": ..., "detail": ...}` payload.
 fn error_label(frame: &Frame) -> String {
     assert_eq!(frame.kind, FrameKind::Error, "payload: {}", frame.payload);
-    let v: serde_json::Value = serde_json::from_str(&frame.payload).unwrap();
+    let v: serde_json::Value = serde_json::from_str(&frame.payload)
+        .unwrap_or_else(|e| panic!("error payload is JSON ({e}): {}", frame.payload));
     v["error"].as_str().unwrap_or_default().to_string()
 }
 

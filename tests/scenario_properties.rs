@@ -49,7 +49,7 @@ fn straight(a: (f64, f64), b: (f64, f64)) -> Polyline {
         GeoPoint::new_unchecked(b.0, b.1),
     )
     .densify(40.0)
-    .expect("positive step")
+    .unwrap_or_else(|e| panic!("a positive step densifies: {e}"))
 }
 
 fn fixture() -> &'static Fixture {
@@ -147,7 +147,8 @@ fn eval_at(threads: usize, plan: &ScenarioPlan) -> intertubes::scenario::Conditi
         shared: &f.shared,
         landmarks: None,
     };
-    with_threads(threads, || evaluate(&ctx, plan)).expect("valid plan evaluates")
+    with_threads(threads, || evaluate(&ctx, plan))
+        .unwrap_or_else(|e| panic!("valid plan evaluates: {e}"))
 }
 
 /// Brute-force convex containment: `p` is inside when the cross products

@@ -38,7 +38,12 @@ fn shape_invariants(seed: u64) {
 
     // Diverse domestic giants sit below backbone renters in the ranking.
     let ranking = intertubes::risk::isp_sharing_ranking(&rm);
-    let rank = |name: &str| ranking.iter().position(|r| r.isp == name).unwrap();
+    let rank = |name: &str| {
+        let Some(rank) = ranking.iter().position(|r| r.isp == name) else {
+            panic!("seed {seed}: {name} is not ranked");
+        };
+        rank
+    };
     assert!(
         rank("EarthLink") < rank("Deutsche Telekom"),
         "seed {seed}: EarthLink {} vs DT {}",

@@ -164,9 +164,10 @@ fn tiny_snapshot() -> StudySnapshot {
 }
 
 /// The header JSON text of a container.
-fn header_text(bytes: &[u8]) -> &str {
-    let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    std::str::from_utf8(&bytes[16..16 + len]).unwrap()
+fn header_text(bytes: &[u8]) -> Result<&str, std::str::Utf8Error> {
+    let mut len = [0; 8];
+    len.copy_from_slice(&bytes[8..16]);
+    std::str::from_utf8(&bytes[16..16 + u64::from_le_bytes(len) as usize])
 }
 
 #[test]
@@ -188,7 +189,7 @@ fn snapshot_saves_loads_and_resaves_byte_identically() {
 fn v3_container_names_the_schema_and_round_trips_landmarks() {
     let snap = tiny_snapshot();
     let bytes = snap.to_bytes().unwrap();
-    let header = header_text(&bytes);
+    let header = header_text(&bytes).expect("the header is UTF-8");
     assert!(header.contains(SNAPSHOT_SCHEMA), "header was {header}");
     assert!(header.contains("landmarks_checksum"), "header was {header}");
     let back = StudySnapshot::from_bytes(&bytes).unwrap();
@@ -198,7 +199,7 @@ fn v3_container_names_the_schema_and_round_trips_landmarks() {
     let mut snap = snap;
     snap.landmarks = None;
     let bare = snap.to_bytes().unwrap();
-    let header = header_text(&bare);
+    let header = header_text(&bare).expect("the header is UTF-8");
     assert!(header.contains(SNAPSHOT_SCHEMA), "{header}");
     assert!(!header.contains("landmarks"), "{header}");
     let back = StudySnapshot::from_bytes(&bare).unwrap();

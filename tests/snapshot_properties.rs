@@ -63,7 +63,8 @@ fn small_snapshot() -> StudySnapshot {
         map.conduits.push(MapConduit {
             a: ids[a],
             b: ids[b],
-            geometry: Polyline::new(vec![pa, mid, pb]).unwrap(),
+            geometry: Polyline::new(vec![pa, mid, pb])
+                .unwrap_or_else(|e| panic!("three points make a polyline: {e}")),
             tenants,
             provenance: if i < 4 {
                 Provenance::Step1
@@ -106,10 +107,10 @@ fn fixtures() -> &'static [Vec<u8>; 2] {
     static F: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
     F.get_or_init(|| {
         let reference = Study::reference().snapshot(Some(2_000));
-        [
-            small_snapshot().to_bytes().unwrap(),
-            reference.to_bytes().unwrap(),
-        ]
+        [small_snapshot(), reference].map(|snap| {
+            snap.to_bytes()
+                .unwrap_or_else(|e| panic!("a valid snapshot encodes: {e}"))
+        })
     })
 }
 
@@ -122,7 +123,9 @@ struct Parts {
 
 impl Parts {
     fn of(bytes: &[u8]) -> Parts {
-        let b = section_bounds(bytes).unwrap();
+        let Some(b) = section_bounds(bytes) else {
+            panic!("not a container");
+        };
         Parts {
             payload: bytes[b.payload.0..b.payload.1].to_vec(),
             landmarks: b.landmarks.map(|(s, e)| bytes[s..e].to_vec()),
@@ -161,7 +164,9 @@ impl Parts {
         let mut out = Vec::new();
         let mut at = 0;
         for _ in SECTIONS {
-            let len = u64::from_le_bytes(self.payload[at..at + 8].try_into().unwrap()) as usize;
+            let mut len = [0; 8];
+            len.copy_from_slice(&self.payload[at..at + 8]);
+            let len = u64::from_le_bytes(len) as usize;
             out.push((Target::Payload, at, at + 8 + len));
             at += 8 + len;
         }
@@ -171,15 +176,24 @@ impl Parts {
         out
     }
 
+    /// The extent of payload section `name`.
+    fn extent(&self, name: &str) -> (usize, usize) {
+        let Some(i) = SECTIONS.iter().position(|&s| s == name) else {
+            panic!("no payload section {name:?}");
+        };
+        let (_, start, end) = self.extents()[i];
+        (start, end)
+    }
+
     /// The body of payload section `name`, without its length prefix.
     fn body(&self, name: &str) -> Vec<u8> {
-        let (_, start, end) = self.extents()[SECTIONS.iter().position(|&s| s == name).unwrap()];
+        let (start, end) = self.extent(name);
         self.payload[start + 8..end].to_vec()
     }
 
     /// These parts with payload section `name` replaced by `body`.
     fn with_body(&self, name: &str, body: &[u8]) -> Parts {
-        let (_, start, end) = self.extents()[SECTIONS.iter().position(|&s| s == name).unwrap()];
+        let (start, end) = self.extent(name);
         let mut out = self.clone();
         let mut section = (body.len() as u64).to_le_bytes().to_vec();
         section.extend_from_slice(body);
@@ -190,7 +204,10 @@ impl Parts {
     fn buf(&mut self, t: Target) -> &mut Vec<u8> {
         match t {
             Target::Payload => &mut self.payload,
-            Target::Landmarks => self.landmarks.as_mut().unwrap(),
+            Target::Landmarks => match &mut self.landmarks {
+                Some(lm) => lm,
+                None => panic!("a landmarks target needs a landmarks section"),
+            },
         }
     }
 }
@@ -270,7 +287,9 @@ fn mutate(bytes: &[u8], m: Mutation) -> (Vec<u8>, bool) {
             let word = start + 4 * (m.y % 6) as usize;
             let buf = out.buf(target);
             if word + 4 <= end {
-                let old = u32::from_le_bytes(buf[word..word + 4].try_into().unwrap());
+                let mut old = [0; 4];
+                old.copy_from_slice(&buf[word..word + 4]);
+                let old = u32::from_le_bytes(old);
                 let new = [
                     0,
                     1,
@@ -288,7 +307,10 @@ fn mutate(bytes: &[u8], m: Mutation) -> (Vec<u8>, bool) {
             if m.y % 2 == 0 {
                 raw.truncate((m.x % raw.len() as u64) as usize);
             } else {
-                let h = section_bounds(bytes).unwrap().header;
+                let Some(b) = section_bounds(bytes) else {
+                    panic!("not a container");
+                };
+                let h = b.header;
                 raw[h.0 + (m.x % (h.1 - h.0) as u64) as usize] ^= 1 << (m.z % 8);
             }
             return (raw, false);
@@ -374,7 +396,7 @@ proptest! {
 fn rejected_in(snap: &StudySnapshot, section: &str) -> String {
     let bytes = snap
         .to_bytes()
-        .expect("the encoder writes what it is given");
+        .unwrap_or_else(|e| panic!("the encoder writes what it is given: {e}"));
     match StudySnapshot::from_bytes(&bytes) {
         Err(SnapshotError::BadSection { section: s, error }) if s == section => error,
         Err(other) => panic!("expected a bad {section} section, got {other}"),

@@ -73,8 +73,8 @@ fn telemetry_arm(threads: usize, cache_on: bool) -> (Vec<String>, Value, String)
         run_batch_telemetry(&eng, &queries, &cfg, &cache, &telemetry)
     });
     let doc = telemetry.stats_document(Some(&cache));
-    let canon =
-        serde_json::to_string(&canonicalize_stats(&doc)).expect("canonical stats serialize");
+    let canon = serde_json::to_string(&canonicalize_stats(&doc))
+        .unwrap_or_else(|e| panic!("canonical stats serialize: {e}"));
     (responses, doc, canon)
 }
 
