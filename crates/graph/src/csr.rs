@@ -83,6 +83,35 @@ impl CsrGraph {
             u
         }
     }
+
+    /// An edge-filtered view: only the half-edges of edges flagged in
+    /// `keep` (ids past its end are dropped), each node's in this graph's
+    /// order. Node ids, edge ids and the endpoint table are unchanged, so
+    /// a search over the view relaxes exactly the edges a search over this
+    /// graph relaxes when it masks every dropped edge with
+    /// `f64::INFINITY`, in the same sequence, and grows the same tree.
+    pub fn filtered(&self, keep: &[bool]) -> CsrGraph {
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut targets = Vec::new();
+        let mut edge_ids = Vec::new();
+        offsets.push(0);
+        for n in 0..self.node_count() {
+            let (edges, tgts) = self.neighbors_raw(NodeId(n as u32));
+            for (&e, &t) in edges.iter().zip(tgts) {
+                if keep.get(e as usize).copied().unwrap_or(false) {
+                    edge_ids.push(e);
+                    targets.push(t);
+                }
+            }
+            offsets.push(targets.len() as u32);
+        }
+        CsrGraph {
+            offsets,
+            targets,
+            edge_ids,
+            endpoints: self.endpoints.clone(),
+        }
+    }
 }
 
 impl<N, E> MultiGraph<N, E> {
@@ -164,6 +193,25 @@ mod tests {
         let loops = csr.neighbors(d).filter(|&(_, m)| m == d).count();
         assert_eq!(loops, 1);
         assert_eq!(csr.other_endpoint(EdgeId(5), d), d);
+    }
+
+    #[test]
+    fn filtered_view_keeps_flagged_half_edges_in_order() {
+        let g = diamond();
+        let csr = g.to_csr();
+        // Drop a→c (edge 2) and, past the mask's end, the self-loop.
+        let view = csr.filtered(&[true, true, false, true, true]);
+        assert_eq!(view.node_count(), csr.node_count());
+        assert_eq!(view.edge_count(), csr.edge_count());
+        for n in g.node_ids() {
+            let want: Vec<_> = csr
+                .neighbors(n)
+                .filter(|&(e, _)| e.index() < 2 || e.index() == 3 || e.index() == 4)
+                .collect();
+            assert_eq!(view.neighbors(n).collect::<Vec<_>>(), want, "{n:?}");
+        }
+        assert_eq!(view.endpoints(EdgeId(2)), csr.endpoints(EdgeId(2)));
+        assert_eq!(csr.filtered(&[true; 6]), csr);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use multigraph::{EdgeId, EdgeRef, MultiGraph, NodeId};
 pub use path::Path;
 pub use search::{
     bidirectional_dijkstra, csr_dijkstra, csr_dijkstra_filtered, csr_nearest_member,
-    csr_shortest_path_tree, PathTree, SearchState,
+    csr_shortest_path_tree, PathTree, SearchState, TreeWalk,
 };
 pub use yen::{yen_k_shortest_csr, YenWorkspace};
 

@@ -153,24 +153,59 @@ impl PathTree {
     /// (including out-of-bounds ids). `csr` must be the graph the tree was
     /// built over.
     pub fn path_to(&self, csr: &CsrGraph, target: NodeId) -> Option<(Vec<NodeId>, Vec<EdgeId>)> {
-        let entering = *self.prev_edge.get(target.index())?;
-        if entering == NONE && target != self.source {
-            return None;
-        }
         let mut nodes = vec![target];
         let mut edges = Vec::new();
-        let mut cur = target;
-        while self.prev_edge[cur.index()] != NONE {
-            let e = EdgeId(self.prev_edge[cur.index()]);
-            // A tree edge is never a self-loop (a loop cannot strictly
-            // lower its own endpoint's distance), so this is the parent.
-            cur = csr.other_endpoint(e, cur);
+        for (e, n) in self.walk_back(csr, target)? {
             edges.push(e);
-            nodes.push(cur);
+            nodes.push(n);
         }
         nodes.reverse();
         edges.reverse();
         Some((nodes, edges))
+    }
+
+    /// The cheapest `source → target` path walked back from `target`
+    /// without allocating: [`PathTree::path_to`]'s edges and nodes after
+    /// `target`, in reverse. `None` if `target` is unreached (including
+    /// out-of-bounds ids); an empty walk if it is the source. `csr` must
+    /// be the graph the tree was built over, or a view of it with the
+    /// same endpoint table ([`CsrGraph::filtered`]).
+    pub fn walk_back<'t>(&'t self, csr: &'t CsrGraph, target: NodeId) -> Option<TreeWalk<'t>> {
+        let entering = *self.prev_edge.get(target.index())?;
+        if entering == NONE && target != self.source {
+            return None;
+        }
+        Some(TreeWalk {
+            prev_edge: &self.prev_edge,
+            csr,
+            cur: target,
+        })
+    }
+}
+
+/// A [`PathTree`] route walked from its target back to the source, built
+/// by [`PathTree::walk_back`]. Each item is one hop: the edge entering the
+/// current node and the node it leads back to.
+#[derive(Debug, Clone)]
+pub struct TreeWalk<'t> {
+    prev_edge: &'t [u32],
+    csr: &'t CsrGraph,
+    cur: NodeId,
+}
+
+impl Iterator for TreeWalk<'_> {
+    type Item = (EdgeId, NodeId);
+
+    fn next(&mut self) -> Option<(EdgeId, NodeId)> {
+        let e = self.prev_edge[self.cur.index()];
+        if e == NONE {
+            return None;
+        }
+        let e = EdgeId(e);
+        // A tree edge is never a self-loop (a loop cannot strictly lower
+        // its own endpoint's distance), so this is the parent.
+        self.cur = self.csr.other_endpoint(e, self.cur);
+        Some((e, self.cur))
     }
 }
 

@@ -209,6 +209,43 @@ proptest! {
         }
     }
 
+    /// A tree grown over an edge-filtered view is the tree grown over the
+    /// whole graph with every dropped edge masked by `f64::INFINITY`: the
+    /// same route to every target, with zero-weight ties, parallel edges
+    /// and self-loops dropped or kept. Walking a route back from its
+    /// target without allocating yields `path_to`'s edges and nodes in
+    /// reverse, and nothing for an unreached target.
+    #[test]
+    fn filtered_view_trees_match_infinity_masked_trees(
+        (g, _n) in arb_graph(),
+        drop in prop::collection::vec(0usize..3, 20..21),
+    ) {
+        let csr = g.to_csr();
+        // About one edge in three is dropped.
+        let keep: Vec<bool> = drop.iter().map(|&d| d != 0).collect();
+        let view = csr.filtered(&keep);
+        let weight = |e: EdgeId| *g.edge(e);
+        let masked = |e: EdgeId| if keep[e.index()] { *g.edge(e) } else { f64::INFINITY };
+        let mut st = SearchState::new();
+        for s in g.node_ids() {
+            let filtered = csr_shortest_path_tree(&view, &mut st, s, weight).unwrap();
+            let full = csr_shortest_path_tree(&csr, &mut st, s, masked).unwrap();
+            for t in g.node_ids() {
+                let routed = filtered.path_to(&view, t);
+                prop_assert_eq!(&routed, &full.path_to(&csr, t), "pair {:?}->{:?}", s, t);
+                let walked = filtered.walk_back(&view, t).map(|walk| {
+                    let (mut edges, mut nodes): (Vec<EdgeId>, Vec<NodeId>) = walk.unzip();
+                    nodes.insert(0, t);
+                    nodes.reverse();
+                    edges.reverse();
+                    (nodes, edges)
+                });
+                prop_assert_eq!(walked, routed, "walk {:?}->{:?}", s, t);
+            }
+            prop_assert!(filtered.walk_back(&view, NodeId(g.node_count() as u32)).is_none());
+        }
+    }
+
     /// The nearest-member search returns the node and path that a full
     /// tree followed by an index-order `min_by` over the members picks:
     /// the lowest-index member at the minimum distance. Weights are small

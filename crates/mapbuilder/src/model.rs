@@ -6,8 +6,6 @@
 //! *reconstructed* from published maps and public records, with provenance
 //! and validation status attached.
 
-use std::collections::HashMap;
-
 use intertubes_geo::{GeoPoint, Polyline};
 use intertubes_graph::{MultiGraph, NodeId};
 use intertubes_records::RowHintKey;
@@ -173,19 +171,6 @@ impl FiberMap {
         self.conduits.iter().map(|c| c.tenants.len()).sum()
     }
 
-    /// Indexes every conduit by its unordered endpoint pair, so the
-    /// conduits joining two nodes are one lookup instead of a scan.
-    pub fn conduit_pairs(&self) -> ConduitPairs {
-        let mut by_pair: HashMap<(u32, u32), Vec<MapConduitId>> = HashMap::new();
-        for (i, c) in self.conduits.iter().enumerate() {
-            by_pair
-                .entry(pair_key(c.a, c.b))
-                .or_default()
-                .push(MapConduitId(i as u32));
-        }
-        ConduitPairs { by_pair }
-    }
-
     /// Distinct provider names present in the map, sorted.
     pub fn providers(&self) -> Vec<String> {
         let mut out: Vec<String> = self
@@ -238,28 +223,6 @@ impl FiberMap {
         }
         g
     }
-}
-
-/// The conduits of a [`FiberMap`] grouped by unordered endpoint pair,
-/// built by [`FiberMap::conduit_pairs`]. Each group lists ids in
-/// ascending order, the order a scan of [`FiberMap::conduits`] meets them,
-/// so "first match" and "last maximum" picks over a group are the scan's.
-#[derive(Debug, Clone, Default)]
-pub struct ConduitPairs {
-    by_pair: HashMap<(u32, u32), Vec<MapConduitId>>,
-}
-
-impl ConduitPairs {
-    /// All conduits joining `a` and `b` in either direction (parallel
-    /// conduits are distinct), ascending; empty when there is none.
-    pub fn between(&self, a: MapNodeId, b: MapNodeId) -> &[MapConduitId] {
-        self.by_pair.get(&pair_key(a, b)).map_or(&[], Vec::as_slice)
-    }
-}
-
-/// The index key of an unordered node pair: `(lower id, higher id)`.
-fn pair_key(a: MapNodeId, b: MapNodeId) -> (u32, u32) {
-    (a.0.min(b.0), a.0.max(b.0))
 }
 
 #[cfg(test)]
@@ -336,11 +299,16 @@ mod tests {
         let a = m.find_node("Dallas, TX").unwrap();
         let b = m.find_node("Houston, TX").unwrap();
         let c = m.find_node("Austin, TX").unwrap();
-        let pairs = m.conduit_pairs();
-        assert_eq!(pairs.between(a, b), [MapConduitId(0), MapConduitId(1)]);
-        assert_eq!(pairs.between(b, a), [MapConduitId(0), MapConduitId(1)]);
-        assert_eq!(pairs.between(c, b), [MapConduitId(2)]);
-        assert!(pairs.between(a, c).is_empty());
+        let g = m.graph();
+        let between = |u: MapNodeId, v: MapNodeId| -> Vec<u32> {
+            g.edges_between(NodeId(u.0), NodeId(v.0))
+                .map(|e| g.edge(e).0)
+                .collect()
+        };
+        assert_eq!(between(a, b), [0, 1]);
+        assert_eq!(between(b, a), [0, 1]);
+        assert_eq!(between(c, b), [2]);
+        assert!(between(a, c).is_empty());
     }
 
     #[test]

@@ -9,8 +9,10 @@ use std::sync::OnceLock;
 use intertubes_atlas::{IspId, World};
 use intertubes_degrade::{DegradationAction, DegradationPolicy, DegradationReport};
 use intertubes_geo::GeoPoint;
-use intertubes_graph::{csr_shortest_path_tree, CsrGraph, EdgeId, NodeId, PathTree, SearchState};
-use intertubes_map::{ConduitPairs, FiberMap, MapConduitId, MapNodeId};
+use intertubes_graph::{
+    csr_shortest_path_tree, CsrGraph, EdgeId, NodeId, PathTree, SearchState, TreeWalk,
+};
+use intertubes_map::{FiberMap, MapNodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::{Campaign, CampaignStream, ProbeConfig, Traceroute, CAMPAIGN_CHUNK};
@@ -475,30 +477,14 @@ impl<'a> OverlayIndex<'a> {
                     continue;
                 }
                 // Conduits for this hop pair: direct conduit or map-path.
-                let direct = self.routes.direct.between(u, v);
                 // Prefer a conduit whose tenants include the hinted
                 // operator; fall back to the busiest.
+                let direct = || self.routes.direct(u, v);
                 let chosen = hint_u
                     .or(hint_v)
-                    .and_then(|h| direct.iter().find(|c| self.tenants.get(c.index(), h)))
-                    .or_else(|| {
-                        direct
-                            .iter()
-                            .max_by_key(|c| self.map.conduits[c.index()].tenant_count())
-                    });
-                let gap_path;
-                let conduits: &[MapConduitId] = match chosen {
-                    Some(chosen) => std::slice::from_ref(chosen),
-                    None => match gaps.path(u, v) {
-                        Some(p) => {
-                            gap_path = p;
-                            &gap_path
-                        }
-                        None => continue,
-                    },
-                };
-                for cid in conduits {
-                    let i = cid.index();
+                    .and_then(|h| direct().find(|&c| self.tenants.get(c, h)))
+                    .or_else(|| direct().max_by_key(|&c| self.map.conduits[c].tenant_count()));
+                let mut count = |i: usize| {
                     tally.conduit_freq[i] += 1;
                     match dir {
                         Direction::WestToEast => tally.west_east[i] += 1,
@@ -509,6 +495,14 @@ impl<'a> OverlayIndex<'a> {
                         tally.observed.set(i, hint);
                     }
                     any = true;
+                };
+                match chosen {
+                    Some(chosen) => count(chosen),
+                    None => {
+                        for (e, _) in gaps.walk(u, v).into_iter().flatten() {
+                            count(e.index());
+                        }
+                    }
                 }
             }
             if any {
@@ -564,11 +558,12 @@ impl<'a> OverlayIndex<'a> {
     }
 }
 
-/// The map frozen once for every shard: the conduits joining each node
-/// pair, the graph for the gap-fill searches between hops that share no
-/// conduit, and those searches' trees.
+/// The map frozen once for every shard: its graph, for the conduits
+/// joining a hop pair and for the gap-fill searches between hops that
+/// share no conduit, and those searches' trees.
 struct HopRoutes {
-    direct: ConduitPairs,
+    /// `map.graph()` frozen: conduit `i` is edge `i`, and each node lists
+    /// its conduits in ascending id order.
     csr: CsrGraph,
     /// Conduit length per edge, km (`map.graph()` adds conduit `i` as
     /// edge `i`).
@@ -582,11 +577,20 @@ impl HopRoutes {
     fn new(map: &FiberMap) -> HopRoutes {
         let csr = map.graph().to_csr();
         HopRoutes {
-            direct: map.conduit_pairs(),
             trees: (0..csr.node_count()).map(|_| OnceLock::new()).collect(),
             csr,
             km: map.conduit_km(),
         }
+    }
+
+    /// The conduits joining distinct nodes `u` and `v`, ascending, so
+    /// "first hinted tenant" and "busiest, last on ties" pick what a scan
+    /// of every conduit would.
+    fn direct(&self, u: MapNodeId, v: MapNodeId) -> impl Iterator<Item = usize> + '_ {
+        self.csr
+            .neighbors(NodeId(u.0))
+            .filter(move |&(_, m)| m.0 == v.0)
+            .map(|(e, _)| e.index())
     }
 }
 
@@ -604,21 +608,21 @@ impl<'g> GapTrees<'g> {
         }
     }
 
-    /// Conduits along the cheapest map path between `u` and `v`, or `None`
-    /// if there is none. The search always starts at the lower node id,
-    /// so an equal-cost tie resolves the same way whichever endpoint a
-    /// trace meets first. It builds that node's full tree, so a NaN or
-    /// negative length (dirty map geometry) anywhere in the component is
-    /// an error: the region is unusable for gap-filling, same as no path.
-    fn path(&mut self, u: MapNodeId, v: MapNodeId) -> Option<Vec<MapConduitId>> {
+    /// The cheapest map path between `u` and `v`, walked back from the
+    /// higher node id (edge `i` is conduit `i`), or `None` if there is
+    /// none. The search always starts at the lower node id, so an
+    /// equal-cost tie resolves the same way whichever endpoint a trace
+    /// meets first. It builds that node's full tree, so a NaN or negative
+    /// length (dirty map geometry) anywhere in the component is an error:
+    /// the region is unusable for gap-filling, same as no path.
+    fn walk(&mut self, u: MapNodeId, v: MapNodeId) -> Option<TreeWalk<'g>> {
         let (lo, hi) = (u.min(v), u.max(v));
         let (routes, st) = (self.routes, &mut self.st);
         let tree = routes.trees.get(lo.index())?.get_or_init(|| {
             let km = |e: EdgeId| routes.km[e.index()];
             csr_shortest_path_tree(&routes.csr, st, NodeId(lo.0), km).ok()
         });
-        let (_, edges) = tree.as_ref()?.path_to(&routes.csr, NodeId(hi.0))?;
-        Some(edges.iter().map(|e| MapConduitId(e.0)).collect())
+        tree.as_ref()?.walk_back(&routes.csr, NodeId(hi.0))
     }
 }
 
@@ -769,7 +773,7 @@ mod tests {
     #[test]
     fn gap_fill_treats_an_invalid_length_in_the_component_as_no_path() {
         use intertubes_geo::Polyline;
-        use intertubes_map::{MapConduit, Provenance};
+        use intertubes_map::{MapConduit, MapConduitId, Provenance};
         let p = GeoPoint::new_unchecked;
         let conduit = |a, b, geometry| MapConduit {
             a,
@@ -795,11 +799,18 @@ mod tests {
             c,
             Polyline::straight(p(30.0, -99.0), p(30.0, -98.0)),
         ));
+        // The conduits of the gap-fill path, source end first.
+        let path = |routes: &HopRoutes, u, v| {
+            let walk = GapTrees::new(routes).walk(u, v)?;
+            let mut conduits: Vec<MapConduitId> = walk.map(|(e, _)| MapConduitId(e.0)).collect();
+            conduits.reverse();
+            Some(conduits)
+        };
         let routes = HopRoutes::new(&map);
-        let clean = GapTrees::new(&routes).path(a, c);
+        let clean = path(&routes, a, c);
         assert_eq!(clean, Some(vec![MapConduitId(0), MapConduitId(1)]));
         // Searched from the lower id whichever endpoint comes first.
-        assert_eq!(GapTrees::new(&routes).path(c, a), clean);
+        assert_eq!(path(&routes, c, a), clean);
         // A NaN-length conduit beyond the target: a search stopping when
         // `c` settles would never relax it, but the region is unusable.
         map.conduits.push(conduit(
@@ -807,7 +818,7 @@ mod tests {
             d,
             Polyline::straight(p(f64::NAN, -98.0), p(30.0, -97.0)),
         ));
-        assert_eq!(GapTrees::new(&HopRoutes::new(&map)).path(a, c), None);
+        assert_eq!(path(&HopRoutes::new(&map), a, c), None);
     }
 
     #[test]
