@@ -82,7 +82,7 @@ fn experiments() -> Result<(), GeoError> {
             || run_campaign(&s.world, &cfg),
         );
     }
-    let overlay = s.overlay(&s.campaign(Some(20_000)));
+    let overlay = s.overlay(Some(20_000));
     row(
         "fig9_tab234_campaign/fig9_traffic_risk_cdf",
         HEAVY_RUNS,

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use intertubes::parallel::with_threads;
 
-use intertubes::probes::{Campaign, Direction, Overlay};
+use intertubes::probes::{Direction, Overlay};
 use intertubes::risk::{
     conduits_shared_by_at_least, hamming_heatmap, isp_sharing_ranking, raw_shared_conduits,
     sharing_fraction, traffic_risk, RiskMatrix,
@@ -44,22 +44,15 @@ pub fn time_ms<R>(iters: usize, threads: usize, mut run: impl FnMut() -> R) -> f
     samples[samples.len() / 2]
 }
 
-/// A shared reference campaign + overlay at the given probe count.
-///
-/// Cached per probe count: callers asking for different volumes get
-/// different campaigns (a single `OnceLock` here once served whatever
-/// count happened to be requested first, silently mislabeling every later
-/// experiment's probe volume).
-pub fn overlay(probes: usize) -> &'static (Campaign, Overlay) {
-    static CACHE: OnceLock<Mutex<HashMap<usize, &'static (Campaign, Overlay)>>> = OnceLock::new();
+/// The shared reference overlay at the given probe count, folded once
+/// per probe count and kept for the process.
+pub fn overlay(probes: usize) -> &'static Overlay {
+    static CACHE: OnceLock<Mutex<HashMap<usize, &'static Overlay>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-    *cache.entry(probes).or_insert_with(|| {
-        let s = study();
-        let campaign = s.campaign(Some(probes));
-        let overlay = s.overlay(&campaign);
-        Box::leak(Box::new((campaign, overlay)))
-    })
+    *cache
+        .entry(probes)
+        .or_insert_with(|| Box::leak(Box::new(study().overlay(Some(probes)))))
 }
 
 /// Probe count used by the harness (paper: 4.9 M; here sized to finish in
@@ -281,7 +274,7 @@ pub fn print_fig8() {
 /// Figure 9: the tenant-count CDFs before/after the traceroute overlay.
 pub fn print_fig9() {
     let s = study();
-    let (_, ov) = overlay(probe_count());
+    let ov = overlay(probe_count());
     let tr = traffic_risk(&s.built.map, ov);
     hr("Figure 9 — CDF of ISPs per conduit, map vs traceroute-overlaid");
     println!("{:>4} {:>10} {:>10}", "k", "map", "overlaid");
@@ -303,10 +296,11 @@ pub fn print_fig9() {
 /// Tables 2/3: top conduits by probe frequency and direction.
 pub fn print_tab2_tab3() {
     let s = study();
-    let (campaign, ov) = overlay(probe_count());
+    let ov = overlay(probe_count());
+    // Every routed trace is either overlaid or skipped.
     println!(
         "\ncampaign: {} traceroutes routed, {} overlaid (paper: 4.9 M probes)",
-        campaign.traces.len(),
+        ov.overlaid + ov.skipped,
         ov.overlaid
     );
     for (dir, label) in [
@@ -322,7 +316,7 @@ pub fn print_tab2_tab3() {
 
 /// Table 4: ISPs by conduits carrying probe traffic.
 pub fn print_tab4() {
-    let (_, ov) = overlay(probe_count());
+    let ov = overlay(probe_count());
     hr("Table 4 — top ISPs by number of conduits carrying probe traffic");
     let ranking = ov.isp_usage_ranking();
     for (isp, n) in ranking.iter().take(10) {
@@ -552,21 +546,20 @@ pub const EXPERIMENTS: &[&str] = &[
 
 #[cfg(test)]
 mod tests {
-    use super::overlay;
+    use super::{overlay, Overlay};
 
     #[test]
     fn overlay_cache_is_keyed_by_probe_count() {
-        let (small_campaign, _) = overlay(500);
-        let (large_campaign, _) = overlay(2_000);
+        let routed = |ov: &Overlay| ov.overlaid + ov.skipped;
+        let (small, large) = (overlay(500), overlay(2_000));
         assert!(
-            small_campaign.traces.len() < large_campaign.traces.len(),
-            "distinct probe counts must produce distinct campaigns \
-             ({} vs {})",
-            small_campaign.traces.len(),
-            large_campaign.traces.len()
+            routed(small) < routed(large),
+            "distinct probe counts must produce distinct overlays ({} vs {} routed)",
+            routed(small),
+            routed(large)
         );
         // Repeat lookups hit the cache: same allocation, not a rebuild.
-        assert!(std::ptr::eq(small_campaign, &overlay(500).0));
+        assert!(std::ptr::eq(small, overlay(500)));
     }
 }
 

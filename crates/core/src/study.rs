@@ -12,8 +12,7 @@ use intertubes_mitigation::{
     AugmentationReport, LatencyConfig, LatencyReport, RobustnessReport,
 };
 use intertubes_probes::{
-    fold_campaign, overlay_campaign, overlay_campaign_checked, run_campaign, Campaign, Overlay,
-    ProbeConfig,
+    fold_campaign, overlay_campaign_checked, run_campaign, Campaign, Overlay, ProbeConfig,
 };
 use intertubes_records::{generate_corpus, sanitize_corpus, Corpus, CorpusConfig};
 use intertubes_risk::RiskMatrix;
@@ -185,18 +184,23 @@ impl Study {
         cfg
     }
 
-    /// Runs a traceroute campaign (`None` = configured probe count).
+    /// The §4.3 traceroute overlay of `probes` probes (`None` = configured
+    /// probe count), folded as they are drawn, so memory stays flat up to
+    /// the paper's 4.9 M.
+    pub fn overlay(&self, probes: Option<usize>) -> Overlay {
+        fold_campaign(&self.world, &self.built.map, &self.probe_config(probes))
+    }
+
+    /// Runs and collects a traceroute campaign (`None` = configured probe
+    /// count), for the fault harness to corrupt before
+    /// [`Study::overlay_checked`].
     pub fn campaign(&self, probes: Option<usize>) -> Campaign {
         run_campaign(&self.world, &self.probe_config(probes))
     }
 
-    /// Overlays a campaign onto the constructed map (§4.3).
-    pub fn overlay(&self, campaign: &Campaign) -> Overlay {
-        overlay_campaign(&self.world, &self.built.map, campaign)
-    }
-
-    /// Overlays a campaign with the study's degradation policy, returning
-    /// the per-stage report alongside the overlay.
+    /// Overlays a collected campaign with the study's degradation policy,
+    /// returning the per-stage report alongside the overlay (for a clean
+    /// campaign, [`Study::overlay`]'s).
     pub fn overlay_checked(
         &self,
         campaign: &Campaign,
@@ -286,20 +290,17 @@ impl Study {
     /// precomputed path index, and the ALT landmark tables, all sealed in
     /// the checksummed `intertubes-snapshot/v3` container.
     ///
-    /// `probes` sizes the embedded overlay campaign (`None` = the
-    /// configured probe count). The campaign is never held whole: each
-    /// chunk of probes is overlaid as it is drawn, so memory stays flat
-    /// from thousands of probes to the paper's 4.9 M, and the overlay
-    /// equals [`Study::overlay`] of [`Study::campaign`]. This is the
-    /// expensive build phase the serving layer amortizes: loading the
-    /// result back via [`intertubes_serve::StudySnapshot::load`] is orders
-    /// of magnitude cheaper than `Study::new`.
+    /// `probes` sizes the embedded [`Study::overlay`] (`None` = the
+    /// configured probe count). This is the expensive build phase the
+    /// serving layer amortizes: loading the result back via
+    /// [`intertubes_serve::StudySnapshot::load`] is orders of magnitude
+    /// cheaper than `Study::new`.
     pub fn snapshot(&self, probes: Option<usize>) -> intertubes_serve::StudySnapshot {
         let mut span = intertubes_obs::stage("serve.freeze");
         let isps = self.mapped_isp_names();
         let rm = self.risk_matrix();
         let hamming = intertubes_risk::hamming_heatmap(&rm);
-        let overlay = fold_campaign(&self.world, &self.built.map, &self.probe_config(probes));
+        let overlay = self.overlay(probes);
         // One landmark build and one Yen batch: the §5.3 route table,
         // with right-of-way baselines from the world's transport networks
         // (which the snapshot does not carry), is the path index.
@@ -370,8 +371,7 @@ mod tests {
     #[test]
     fn end_to_end_smoke() {
         let s = Study::reference();
-        let campaign = s.campaign(Some(5_000));
-        let overlay = s.overlay(&campaign);
+        let overlay = s.overlay(Some(5_000));
         assert!(overlay.overlaid > 3_000);
         let rob = s.robustness(12);
         assert_eq!(rob.heavy_conduits.len(), 12);

@@ -12,6 +12,8 @@
 //! NTT, Deutsche Telekom) gain the most while diversely-deployed providers
 //! (Level 3, CenturyLink) barely move.
 
+use std::collections::HashMap;
+
 use intertubes_atlas::{City, TransportNetwork};
 use intertubes_graph::{csr_dijkstra, CsrGraph, EdgeId, NodeId, SearchState};
 use intertubes_map::{FiberMap, MapConduitId};
@@ -84,12 +86,13 @@ fn avg_risk(rm: &RiskMatrix, shared: &[f64]) -> Vec<f64> {
 
 /// Cheapest ROW mileage between two map nodes, over the road network (the
 /// deployment-cost term DC of eq. 2), searched on `csr` = `roads.graph`
-/// frozen once per [`augment`] call. Falls back to geodesic distance when
-/// the endpoints are not road-connected. Corridor lengths are finite and
-/// non-negative (fault injection only deletes corridors), so no search
-/// error can hide behind the early exit.
+/// frozen once per [`augment`] call; `city_of` maps a label to its city
+/// (road node) id, built once per call too. Falls back to geodesic
+/// distance when the endpoints are not road-connected. Corridor lengths
+/// are finite and non-negative (fault injection only deletes corridors),
+/// so no search error can hide behind the early exit.
 fn row_distance_km(
-    cities: &[City],
+    city_of: &HashMap<String, u32>,
     roads: &TransportNetwork,
     csr: &CsrGraph,
     st: &mut SearchState,
@@ -97,12 +100,11 @@ fn row_distance_km(
     b_label: &str,
     fallback_km: f64,
 ) -> f64 {
-    let find = |label: &str| cities.iter().position(|c| c.label() == label);
-    let (Some(ai), Some(bi)) = (find(a_label), find(b_label)) else {
+    let (Some(&ai), Some(&bi)) = (city_of.get(a_label), city_of.get(b_label)) else {
         return fallback_km;
     };
     let cost = |e: EdgeId| roads.graph.edge(e).length_km;
-    match csr_dijkstra(csr, st, NodeId(ai as u32), NodeId(bi as u32), cost) {
+    match csr_dijkstra(csr, st, NodeId(ai), NodeId(bi), cost) {
         Ok(Some(p)) => p.cost,
         _ => fallback_km,
     }
@@ -128,6 +130,11 @@ pub fn augment(
     pool.truncate(cfg.candidate_pool);
     let road_csr = roads.graph.to_csr();
     let mut st = SearchState::new();
+    // A label held by several cities names the first, as a scan would.
+    let mut city_of: HashMap<String, u32> = HashMap::new();
+    for (i, c) in cities.iter().enumerate() {
+        city_of.entry(c.label()).or_insert(i as u32);
+    }
 
     struct Candidate {
         conduit: usize,
@@ -141,7 +148,7 @@ pub fn augment(
             let b = &map.nodes[c.b.index()];
             let fallback = a.location.distance_km(&b.location);
             let row_km = row_distance_km(
-                cities, roads, &road_csr, &mut st, &a.label, &b.label, fallback,
+                &city_of, roads, &road_csr, &mut st, &a.label, &b.label, fallback,
             );
             Candidate {
                 conduit: ci,

@@ -25,6 +25,13 @@
 //! (kind 2, payload = [`WireError::to_error_payload`]), never a hang or a
 //! process exit. [`FrameReader`] handles the incremental, non-blocking
 //! reassembly: feed it whatever bytes arrived, pop complete frames.
+//!
+//! The decoder reads untrusted bytes, so it never indexes: every read is
+//! checked and fails with a typed error, and nothing is allocated from a
+//! declared length. `tests/wire_mutations.rs` mutates valid frames to
+//! hold it to that.
+
+#![deny(clippy::indexing_slicing)]
 
 use intertubes_serve::fnv1a64;
 
@@ -278,6 +285,17 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
     Ok(out)
 }
 
+/// `N` bytes of `body` from `at`, or the truncation that leaves them out.
+fn field<const N: usize>(body: &[u8], at: usize) -> Result<[u8; N], WireError> {
+    body.get(at..)
+        .and_then(<[u8]>::first_chunk::<N>)
+        .copied()
+        .ok_or(WireError::Truncated {
+            needed: at + N,
+            have: body.len(),
+        })
+}
+
 /// Decodes one frame **body** (the bytes after the length prefix).
 /// Validation is staged so each corruption mode maps to its own error.
 pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
@@ -287,41 +305,42 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
             have: body.len(),
         });
     }
-    if body[0..4] != WIRE_MAGIC {
+    if field::<4>(body, 0)? != WIRE_MAGIC {
         return Err(WireError::BadMagic);
     }
-    let version = u16::from_le_bytes([body[4], body[5]]);
+    let version = u16::from_le_bytes(field(body, 4)?);
     if version != WIRE_VERSION {
         return Err(WireError::UnknownVersion { found: version });
     }
-    let kind = FrameKind::from_u8(body[6]).ok_or(WireError::BadKind { found: body[6] })?;
-    let tenant_len = body[7] as usize;
-    let snapshot_len = body[8] as usize;
-    let mut id8 = [0u8; 8];
-    id8.copy_from_slice(&body[9..17]);
-    let request_id = u64::from_le_bytes(id8);
-    let mut sum8 = [0u8; 8];
-    sum8.copy_from_slice(&body[17..25]);
-    let checksum = u64::from_le_bytes(sum8);
-    let mut len4 = [0u8; 4];
-    len4.copy_from_slice(&body[25..29]);
-    let payload_len = u32::from_le_bytes(len4) as usize;
-    let declared = HEADER_LEN + tenant_len + snapshot_len + payload_len;
+    let [tag, tenant_len, snapshot_len] = field(body, 6)?;
+    let kind = FrameKind::from_u8(tag).ok_or(WireError::BadKind { found: tag })?;
+    let request_id = u64::from_le_bytes(field(body, 9)?);
+    let checksum = u64::from_le_bytes(field(body, 17)?);
+    let payload_len = u32::from_le_bytes(field(body, 25)?) as usize;
+    // Saturating: where `usize` is 32 bits, a false payload length could
+    // overflow the sum, and any saturated value mismatches the body.
+    let declared =
+        payload_len.saturating_add(HEADER_LEN + tenant_len as usize + snapshot_len as usize);
+    let mismatch = || WireError::LengthMismatch {
+        declared,
+        actual: body.len(),
+    };
     if declared != body.len() {
-        return Err(WireError::LengthMismatch {
-            declared,
-            actual: body.len(),
-        });
+        return Err(mismatch());
     }
-    let tenant_end = HEADER_LEN + tenant_len;
-    let snapshot_end = tenant_end + snapshot_len;
-    let tenant = std::str::from_utf8(&body[HEADER_LEN..tenant_end])
+    let tail = body.get(HEADER_LEN..).ok_or_else(mismatch)?;
+    let (tenant, tail) = tail
+        .split_at_checked(tenant_len as usize)
+        .ok_or_else(mismatch)?;
+    let (snapshot, payload_bytes) = tail
+        .split_at_checked(snapshot_len as usize)
+        .ok_or_else(mismatch)?;
+    let tenant = std::str::from_utf8(tenant)
         .map_err(|_| WireError::BadUtf8 { field: "tenant" })?
         .to_string();
-    let snapshot = std::str::from_utf8(&body[tenant_end..snapshot_end])
+    let snapshot = std::str::from_utf8(snapshot)
         .map_err(|_| WireError::BadUtf8 { field: "snapshot" })?
         .to_string();
-    let payload_bytes = &body[snapshot_end..];
     if fnv1a64(payload_bytes) != checksum {
         return Err(WireError::ChecksumMismatch);
     }
@@ -363,11 +382,9 @@ impl FrameReader {
     /// length-prefix checks fire as soon as the prefix itself is readable,
     /// so a lying peer is rejected without waiting for its body.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        if self.buf.len() < 4 {
+        let Some(&len4) = self.buf.first_chunk::<4>() else {
             return Ok(None);
-        }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&self.buf[0..4]);
+        };
         let body_len = u32::from_le_bytes(len4) as usize;
         if body_len > MAX_FRAME_LEN {
             return Err(WireError::Oversized {
@@ -381,11 +398,11 @@ impl FrameReader {
                 have: body_len,
             });
         }
-        if self.buf.len() < 4 + body_len {
+        let Some(body) = self.buf.get(4..4 + body_len) else {
             return Ok(None);
-        }
-        let frame = decode_frame(&self.buf[4..4 + body_len])?;
-        self.buf.drain(0..4 + body_len);
+        };
+        let frame = decode_frame(body)?;
+        self.buf.drain(..4 + body_len);
         Ok(Some(frame))
     }
 
@@ -404,6 +421,7 @@ impl FrameReader {
 }
 
 #[cfg(test)]
+#[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
 

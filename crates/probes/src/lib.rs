@@ -11,7 +11,9 @@
 //! DNS hints are roster ids and the overlay accumulates provider sets as
 //! bitsets over them, naming providers only once at the end.
 //! [`fold_campaign`] overlays each chunk of probes as it is drawn, so a
-//! paper-scale campaign runs in memory that does not grow with its size.
+//! paper-scale campaign runs in memory that does not grow with its size;
+//! every overlay consumer uses it. [`run_campaign`] collects the traces
+//! for the fault harness, which corrupts them before overlaying them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

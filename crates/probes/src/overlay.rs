@@ -148,7 +148,8 @@ impl Overlay {
     }
 }
 
-/// Overlays a campaign onto a constructed map.
+/// Overlays a collected campaign onto a constructed map; an overlay
+/// alone comes cheaper from [`fold_campaign`].
 ///
 /// Consecutive resolved hops are mapped onto map conduits: directly when the
 /// hop pair is conduit-adjacent, otherwise along the km-shortest path in the
@@ -671,8 +672,8 @@ mod tests {
     }
 
     fn setup() -> (World, FiberMap, Overlay) {
-        let (w, map, campaign) = reference(20_000);
-        let overlay = overlay_campaign(&w, &map, &campaign);
+        let (w, map) = world_and_map(WorldConfig::default().seed);
+        let overlay = fold_campaign(&w, &map, &probes(20_000));
         (w, map, overlay)
     }
 

@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use intertubes_atlas::World;
 use intertubes_map::{build_map, FiberMap, PipelineConfig};
-use intertubes_probes::{overlay_campaign, run_campaign, ProbeConfig};
+use intertubes_probes::{fold_campaign, ProbeConfig};
 use intertubes_records::{generate_corpus, CorpusConfig};
 
 fn fixture() -> &'static (World, FiberMap) {
@@ -28,8 +28,7 @@ fn fixture() -> &'static (World, FiberMap) {
 
 fn overlay_with(cfg: ProbeConfig) -> intertubes_probes::Overlay {
     let (world, map) = fixture();
-    let campaign = run_campaign(world, &cfg);
-    overlay_campaign(world, map, &campaign)
+    fold_campaign(world, map, &cfg)
 }
 
 const BASE: ProbeConfig = ProbeConfig {
@@ -153,8 +152,7 @@ fn observed_carriers_are_plausible_tenants_mostly() {
     // ride the conduit in the ground truth (the hint *is* the segment
     // owner), with a tolerated minority of gap-path smearing.
     let (world, map) = fixture();
-    let campaign = run_campaign(world, &BASE);
-    let ov = overlay_campaign(world, map, &campaign);
+    let ov = fold_campaign(world, map, &BASE);
     let mut attributions = 0usize;
     let mut correct = 0usize;
     for (ci, observed) in ov.observed_isps.iter().enumerate() {

@@ -1,5 +1,5 @@
-//! Traceroute overlay: the §4.3 pipeline — run a probe campaign, overlay it
-//! on the constructed map, and print the traffic-weighted risk picture
+//! Traceroute overlay: the §4.3 pipeline — fold a probe campaign onto the
+//! constructed map as it is drawn, and print the traffic-weighted risk picture
 //! (Tables 2, 3, 4 and the Fig. 9 CDF shift).
 //!
 //! ```sh
@@ -21,14 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or(50_000);
 
     let study = Study::reference();
-    println!("launching {probes} traceroutes (paper: 4.9 M over 3 months) …");
-    let campaign = study.campaign(Some(probes));
-    println!(
-        "routed {} probes ({} unroutable), overlaying on the map …",
-        campaign.traces.len(),
-        campaign.unrouted
-    );
-    let overlay = study.overlay(&campaign);
+    println!("folding {probes} traceroutes onto the map (paper: 4.9 M over 3 months) …");
+    let overlay = study.overlay(Some(probes));
     println!(
         "overlaid {} traces ({} skipped)\n",
         overlay.overlaid, overlay.skipped

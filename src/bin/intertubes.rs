@@ -54,6 +54,9 @@ use intertubes::obs::{self, Level, ObsConfig, RunInfo, TopologyCounts};
 use intertubes::{Study, StudyConfig};
 use serde_json::json;
 
+/// Probes behind the one overlay `annotated`, `export` and `snapshot` write.
+const PROBES: usize = 10_000;
+
 fn usage() -> ! {
     eprintln!(
         "usage: intertubes [flags] <command> [args]\n\
@@ -602,7 +605,7 @@ fn run(
             write_json(operand(out)?, &resilience_json(&study))?;
         }
         "annotated" => {
-            let overlay = study.overlay(&study.campaign(Some(10_000)));
+            let overlay = study.overlay(Some(PROBES));
             write_json(operand(out)?, &study.annotated_geojson(&overlay))?;
         }
         "whatif" => {
@@ -631,7 +634,7 @@ fn run(
             )?;
             write_json(&p("robustness.json"), &robustness_json(&study)?)?;
             write_json(&p("resilience.json"), &resilience_json(&study))?;
-            let overlay = study.overlay(&study.campaign(Some(10_000)));
+            let overlay = study.overlay(Some(PROBES));
             write_json(
                 &p("map-annotated.geojson"),
                 &study.annotated_geojson(&overlay),
@@ -650,9 +653,7 @@ fn run(
         }
         "snapshot" => {
             let out = operand(out)?;
-            // Same probe sizing as `annotated`, so the embedded overlay
-            // matches the exported artifact.
-            let snap = study.snapshot(Some(10_000));
+            let snap = study.snapshot(Some(PROBES));
             // Optional `--chaos <plan>` after the operand: route the
             // crash-safe save through an injecting ChaosSession. A failed
             // save (exit 3) must leave any previous snapshot loadable.

@@ -369,7 +369,7 @@ fn graph_callers_match_golden_digests() {
         ),
         (
             "overlay",
-            serde_json::to_string(&study.overlay(&campaign)).expect("overlay serializes"),
+            serde_json::to_string(&study.overlay(None)).expect("overlay serializes"),
         ),
         (
             "augmentation",

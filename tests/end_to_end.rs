@@ -68,8 +68,7 @@ fn step_reports_tell_papers_story() {
 #[test]
 fn traceroute_overlay_increases_perceived_risk() {
     let s = study();
-    let campaign = s.campaign(Some(20_000));
-    let overlay = s.overlay(&campaign);
+    let overlay = s.overlay(Some(20_000));
     let tr = traffic_risk(&s.built.map, &overlay);
     assert!(
         tr.with_traffic.mean() > tr.map_only.mean() + 0.5,
@@ -155,7 +154,7 @@ fn geojson_export_round_trips() {
 #[test]
 fn annotated_geojson_and_what_if_extensions_work() {
     let s = study();
-    let overlay = s.overlay(&s.campaign(Some(5_000)));
+    let overlay = s.overlay(Some(5_000));
     let gj = s.annotated_geojson(&overlay);
     let line = gj["features"]
         .as_array()

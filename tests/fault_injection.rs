@@ -169,7 +169,7 @@ fn corrupt_trace_endpoints_are_dropped_and_counted() {
 #[test]
 fn truncated_traces_only_lose_coverage() {
     let (study, _, campaign) = baseline();
-    let clean_overlay = study.overlay(campaign);
+    let (clean_overlay, _) = study.overlay_checked(campaign).expect("lenient overlay");
     let mut faulty = campaign.clone();
     let mut injector = Injector::new(plan(FaultFamily::TruncateTraces, 0.3));
     inject_campaign(&mut faulty, study.world.cities.len(), &mut injector);

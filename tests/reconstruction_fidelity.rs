@@ -199,8 +199,7 @@ fn golden_snapshot(s: &Study) -> serde_json::Value {
             })
         })
         .collect();
-    let campaign = s.campaign(Some(GOLDEN_PROBES));
-    let overlay = s.overlay(&campaign);
+    let overlay = s.overlay(Some(GOLDEN_PROBES));
     let table = |dir| -> Vec<serde_json::Value> {
         overlay
             .top_conduits(map, Some(dir), 10)

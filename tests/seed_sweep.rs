@@ -53,7 +53,7 @@ fn shape_invariants(seed: u64) {
     assert!(rank("Level 3") < rank("Inteliquent"), "seed {seed}");
 
     // §4.3: traffic overlay only raises perceived sharing.
-    let overlay = study.overlay(&study.campaign(Some(10_000)));
+    let overlay = study.overlay(Some(10_000));
     let tr = traffic_risk(map, &overlay);
     assert!(tr.with_traffic.mean() >= tr.map_only.mean(), "seed {seed}");
 

@@ -67,7 +67,7 @@ fn analysis_reports_serialize() {
     let rob = s.robustness(4);
     let aug = s.augmentation();
     let lat = s.latency();
-    let overlay = s.overlay(&s.campaign(Some(2_000)));
+    let overlay = s.overlay(Some(2_000));
     for value in [
         serde_json::to_value(&rob).unwrap(),
         serde_json::to_value(&aug).unwrap(),

@@ -1,9 +1,9 @@
-//! The snapshot's streamed campaign fold against the collect-then-overlay
-//! path: for several worlds and probe counts, `fold_campaign` must give
-//! the overlay that `overlay_campaign_checked` gives over `run_campaign`'s
-//! whole campaign at any thread count, with a clean degradation report,
-//! byte for byte as JSON. Chunk sizes other than the fold's own are
-//! checked inside the probes crate.
+//! The streamed campaign fold, which every overlay consumer runs, against
+//! the collect-then-overlay path: for several worlds and probe counts,
+//! `fold_campaign` must give the overlay that `overlay_campaign_checked`
+//! gives over `run_campaign`'s whole campaign at any thread count, with a
+//! clean degradation report, byte for byte as JSON. Chunk sizes other
+//! than the fold's own are checked inside the probes crate.
 
 use intertubes::degrade::DegradationPolicy;
 use intertubes::parallel::with_threads;
@@ -27,9 +27,16 @@ fn the_fold_equals_the_overlay_of_the_collected_campaign() {
                 probes,
                 ..study.config.probes
             };
-            let fold = serde_json::to_string(&fold_campaign(world, map, &cfg))
-                .expect("overlay serializes");
             let campaign = run_campaign(world, &cfg);
+            // The campaign is clean, so every routed trace is overlaid or
+            // skipped: the figures report the routed count from this sum.
+            let overlay = fold_campaign(world, map, &cfg);
+            assert_eq!(
+                overlay.overlaid + overlay.skipped,
+                campaign.traces.len(),
+                "seed {seed}, {probes} probes"
+            );
+            let fold = serde_json::to_string(&overlay).expect("overlay serializes");
             // The collected campaign's overlay shards by the thread count.
             for threads in [1, 2, 4] {
                 let (want, report) = with_threads(threads, || {
@@ -50,12 +57,22 @@ fn the_fold_equals_the_overlay_of_the_collected_campaign() {
     }
 }
 
+/// `Study::snapshot` and `Study::overlay` run the same fold, so the
+/// snapshot's overlay is checked against the collected path instead.
 #[test]
 fn the_snapshot_overlay_is_the_study_overlay() {
     let study = Study::reference();
     let probes = 2_000;
     let snap = study.snapshot(Some(probes));
-    let want = study.overlay(&study.campaign(Some(probes)));
+    let campaign = study.campaign(Some(probes));
+    let (want, report) = overlay_campaign_checked(
+        &study.world,
+        &study.built.map,
+        &campaign,
+        DegradationPolicy::Lenient,
+    )
+    .expect("the lenient overlay succeeds");
+    assert!(report.is_clean());
     assert_eq!(
         serde_json::to_string(&snap.overlay).expect("overlay serializes"),
         serde_json::to_string(&want).expect("overlay serializes")
