@@ -18,7 +18,7 @@ use intertubes::mitigation::already_optimal_fraction;
 use intertubes::obs;
 use intertubes::parallel::with_threads;
 use intertubes::risk::hamming_heatmap;
-use intertubes::serve::fnv1a64;
+use intertubes::serve::{fnv1a64, Query, QueryEngine};
 use intertubes::{Study, StudyConfig};
 
 use common::golden;
@@ -333,10 +333,11 @@ fn campaign_with_named_hints(
 
 /// Every output that runs a shortest-path search over an atlas, map or
 /// road graph, pinned by digest: the reference study's footprints,
-/// default campaign, full overlay, augmentation report and §5.3 latency
-/// report, the path index and landmark tables of its snapshot, plus the
-/// 1-thread faulted snapshot of each built-in scenario under both
-/// policies. A change to the path engine must leave every digest alone.
+/// default campaign, full overlay, augmentation report, §5.1 robustness
+/// report and already-optimal fraction, and §5.3 latency report, the
+/// path index and landmark tables of its snapshot, the snapshot engine's
+/// answers to [`cut_impact_batch`], plus the 1-thread faulted snapshot of
+/// each built-in scenario under both policies. A change to the path engine must leave every digest alone.
 /// The campaign is also checked, hints written as names, against
 /// [`NAMED_HINT_CAMPAIGN`].
 /// After an *intentional* behaviour change, regenerate with:
@@ -357,6 +358,11 @@ fn graph_callers_match_golden_digests() {
         NAMED_HINT_CAMPAIGN,
         "the reference campaign with hints named differs from the name-hint campaign"
     );
+    let engine = QueryEngine::new(snap.clone());
+    let cut_answers: Vec<String> = cut_impact_batch(snap.map.conduits.len())
+        .iter()
+        .map(|q| serde_json::to_string(&engine.answer(q)).expect("answer serializes"))
+        .collect();
     let mut reference = BTreeMap::new();
     for (name, text) in [
         (
@@ -376,6 +382,17 @@ fn graph_callers_match_golden_digests() {
             serde_json::to_string(&study.augmentation()).expect("report serializes"),
         ),
         (
+            "robustness",
+            serde_json::to_string(&study.robustness(12)).expect("report serializes"),
+        ),
+        (
+            "already_optimal",
+            format!(
+                "{:.17}",
+                already_optimal_fraction(&study.built.map, &study.risk_matrix())
+            ),
+        ),
+        (
             "latency",
             serde_json::to_string(&study.latency()).expect("report serializes"),
         ),
@@ -387,6 +404,7 @@ fn graph_callers_match_golden_digests() {
             "landmarks",
             serde_json::to_string(&snap.landmarks).expect("landmarks serialize"),
         ),
+        ("cut_impact", cut_answers.join("\n")),
     ] {
         reference.insert(name, digest(&text));
     }
@@ -414,6 +432,23 @@ fn graph_callers_match_golden_digests() {
         "graph-caller outputs drifted from {path}; if the change is intentional, \
          regenerate with REGENERATE_GOLDENS=1 cargo test --test determinism graph_callers"
     );
+}
+
+/// A fixed batch of conduit-cut what-ifs over an `n`-conduit map: every
+/// conduit cut alone, then every fifth conduit cut together with two
+/// others spread across the map. Each hit pair's post-cut route comes
+/// from a live masked search, so the batch pins that search's answers.
+fn cut_impact_batch(n: usize) -> Vec<Query> {
+    let single = (0..n).map(|i| vec![i]);
+    let triple = (0..n)
+        .step_by(5)
+        .map(|i| vec![i, (7 * i + 3) % n, (13 * i + 5) % n]);
+    single
+        .chain(triple)
+        .map(|cut| Query::CutImpact {
+            conduits: cut.into_iter().map(|c| c as u32).collect(),
+        })
+        .collect()
 }
 
 /// Seeds whose worlds are pinned in `tests/goldens/world_digests.json`:
