@@ -416,9 +416,8 @@ pub fn build_pipeline_network(
         };
         // Corridor lengths are finite and non-negative, so the search
         // cannot fail; a failure would just mean "no road path".
-        let path = csr_dijkstra(&csr, &mut st, NodeId(a.0), NodeId(b.0), |e| {
-            road.graph.edge(e).length_km
-        });
+        let length = |e| road.graph.edge(e).length_km;
+        let path = csr_dijkstra(&csr, &mut st, NodeId(a.0), NodeId(b.0), length, None);
         match path.ok().flatten() {
             Some(p) => {
                 for w in p.nodes.windows(2) {

@@ -113,7 +113,7 @@ fn experiments() -> Result<(), GeoError> {
     );
     let mut st = SearchState::new();
     row("substrate_dijkstra_map", RUNS, || {
-        csr_dijkstra(&csr, &mut st, first, last, km).ok()
+        csr_dijkstra(&csr, &mut st, first, last, km, None).ok()
     });
     let mut ws = YenWorkspace::new();
     row("substrate_yen_k4", RUNS, || {

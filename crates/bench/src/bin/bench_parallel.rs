@@ -22,18 +22,16 @@
 //! instead of re-detecting the host.
 //!
 //! The `latency_paths` row also carries `"path_query_us"`: per-query
-//! wall-clock for one point-to-point shortest-path query under each search
-//! flavour (CSR Dijkstra, bidirectional, and ALT-pruned CSR), cold
-//! (scratch allocated per query) and warm (scratch reused) — the numbers
-//! EXPERIMENTS.md's path-engine table quotes.
+//! wall-clock for one point-to-point shortest-path query, plain and
+//! ALT-pruned, cold (scratch allocated per query) and warm (scratch
+//! reused) — the numbers EXPERIMENTS.md's path-engine table quotes.
 
 use std::time::Instant;
 
 use intertubes::obs;
 
 use intertubes::graph::{
-    bidirectional_dijkstra, csr_dijkstra, csr_dijkstra_filtered, EdgeId, Landmarks, NodeId,
-    SearchState, DEFAULT_LANDMARK_COUNT,
+    csr_dijkstra, EdgeId, Landmarks, NodeId, SearchState, DEFAULT_LANDMARK_COUNT,
 };
 use intertubes::map::{build_map, PipelineConfig};
 use intertubes::mitigation::latency_study;
@@ -48,9 +46,9 @@ fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
 }
 
-/// Per-query microseconds for each point-to-point search engine over a
-/// deterministic sample of conduit-joined pairs, cold (fresh scratch per
-/// query) and warm (scratch reused across queries).
+/// Per-query microseconds for the point-to-point search, plain and
+/// ALT-pruned, over a deterministic sample of conduit-joined pairs, cold
+/// (fresh scratch per query) and warm (scratch reused across queries).
 fn path_query_us(s: &intertubes::Study) -> serde_json::Value {
     let map = &s.built.map;
     let csr = map.graph().to_csr();
@@ -81,66 +79,25 @@ fn path_query_us(s: &intertubes::Study) -> serde_json::Value {
 
     let csr_cold = time(&mut |a, b| {
         let mut st = SearchState::new();
-        std::hint::black_box(csr_dijkstra(&csr, &mut st, NodeId(a), NodeId(b), km).ok());
+        std::hint::black_box(csr_dijkstra(&csr, &mut st, NodeId(a), NodeId(b), km, None).ok());
     });
     let mut st = SearchState::new();
     let csr_warm = time(&mut |a, b| {
-        std::hint::black_box(csr_dijkstra(&csr, &mut st, NodeId(a), NodeId(b), km).ok());
+        std::hint::black_box(csr_dijkstra(&csr, &mut st, NodeId(a), NodeId(b), km, None).ok());
     });
-    let bidi_cold = time(&mut |a, b| {
-        let (mut fwd, mut bwd) = (SearchState::new(), SearchState::new());
-        std::hint::black_box(
-            bidirectional_dijkstra(&csr, &mut fwd, &mut bwd, NodeId(a), NodeId(b), km).ok(),
-        );
-    });
-    let (mut fwd, mut bwd) = (SearchState::new(), SearchState::new());
-    let bidi_warm = time(&mut |a, b| {
-        std::hint::black_box(
-            bidirectional_dijkstra(&csr, &mut fwd, &mut bwd, NodeId(a), NodeId(b), km).ok(),
-        );
-    });
-    let no_nodes = vec![false; csr.node_count()];
-    let no_edges = vec![false; csr.edge_count()];
+    let lm = landmarks.as_ref();
     let alt_cold = time(&mut |a, b| {
         let mut st = SearchState::new();
-        let (nodes, edges) = (vec![false; csr.node_count()], vec![false; csr.edge_count()]);
-        std::hint::black_box(
-            csr_dijkstra_filtered(
-                &csr,
-                &mut st,
-                NodeId(a),
-                NodeId(b),
-                km,
-                &nodes,
-                &edges,
-                landmarks.as_ref(),
-            )
-            .ok(),
-        );
+        std::hint::black_box(csr_dijkstra(&csr, &mut st, NodeId(a), NodeId(b), km, lm).ok());
     });
-    let mut st2 = SearchState::new();
     let alt_warm = time(&mut |a, b| {
-        std::hint::black_box(
-            csr_dijkstra_filtered(
-                &csr,
-                &mut st2,
-                NodeId(a),
-                NodeId(b),
-                km,
-                &no_nodes,
-                &no_edges,
-                landmarks.as_ref(),
-            )
-            .ok(),
-        );
+        std::hint::black_box(csr_dijkstra(&csr, &mut st, NodeId(a), NodeId(b), km, lm).ok());
     });
 
     serde_json::json!({
         "sample_pairs": n,
         "csr_dijkstra_cold": csr_cold,
         "csr_dijkstra_warm": csr_warm,
-        "bidirectional_cold": bidi_cold,
-        "bidirectional_warm": bidi_warm,
         "csr_alt_cold": alt_cold,
         "csr_alt_warm": alt_warm,
     })

@@ -54,7 +54,8 @@ pub fn par_shortest_paths_csr(
             let source = NodeId(*s);
             if let [i] = idxs[..] {
                 // Lone target: early-exit point query.
-                out.push((i, csr_dijkstra(csr, &mut st, source, pairs[i].1, &cost)));
+                let path = csr_dijkstra(csr, &mut st, source, pairs[i].1, &cost, None);
+                out.push((i, path));
                 continue;
             }
             // Shared source: one full tree answers every target. Per-pair
@@ -140,7 +141,7 @@ mod tests {
         let batch = par_shortest_paths_csr(&csr, &pairs, cost);
         let mut st = SearchState::new();
         for (i, &(s, t)) in pairs.iter().enumerate() {
-            let serial = csr_dijkstra(&csr, &mut st, s, t, cost);
+            let serial = csr_dijkstra(&csr, &mut st, s, t, cost, None);
             assert_eq!(batch[i], serial, "pair {s:?}->{t:?}");
         }
     }
@@ -192,7 +193,7 @@ mod tests {
         let batch = par_shortest_paths_csr(&csr, &pairs, cost);
         let mut st = SearchState::new();
         for (i, &(s, t)) in pairs.iter().enumerate() {
-            let serial = csr_dijkstra(&csr, &mut st, s, t, cost);
+            let serial = csr_dijkstra(&csr, &mut st, s, t, cost, None);
             assert_eq!(batch[i], serial, "pair {s:?}->{t:?}");
         }
     }

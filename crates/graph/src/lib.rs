@@ -16,11 +16,13 @@
 //!   shared-risk-cost routing (eq. 1): reusable [`SearchState`] scratch,
 //!   full trees ([`csr_shortest_path_tree`], frozen for reuse as a
 //!   4 B-per-node [`PathTree`]), early-exit point queries
-//!   ([`csr_dijkstra`], [`csr_dijkstra_filtered`]),
-//!   [`bidirectional_dijkstra`], ALT [`Landmarks`] pruning, loopless
+//!   ([`csr_dijkstra`], optionally pruned by ALT [`Landmarks`]), loopless
 //!   k-shortest paths ([`yen_k_shortest_csr`], for the "average of
 //!   existing paths" series of Fig. 12) and order-preserving batches
-//!   ([`par_shortest_paths_csr`], [`par_yen_k_shortest_csr`]).
+//!   ([`par_shortest_paths_csr`], [`par_yen_k_shortest_csr`]). Every
+//!   search runs one core loop; an edge leaves a search by costing
+//!   `f64::INFINITY` or by being absent from a [`CsrGraph::filtered`]
+//!   view.
 //! * [`connected_components`], [`bridges`], [`articulation_points`],
 //!   [`stoer_wagner_min_cut`] — robustness primitives ("number of fiber cuts
 //!   needed to partition", §4).
@@ -50,8 +52,7 @@ pub use landmarks::{Landmarks, DEFAULT_LANDMARK_COUNT};
 pub use multigraph::{EdgeId, EdgeRef, MultiGraph, NodeId};
 pub use path::Path;
 pub use search::{
-    bidirectional_dijkstra, csr_dijkstra, csr_dijkstra_filtered, csr_nearest_member,
-    csr_shortest_path_tree, PathTree, SearchState, TreeWalk,
+    csr_dijkstra, csr_nearest_member, csr_shortest_path_tree, PathTree, SearchState, TreeWalk,
 };
 pub use yen::{yen_k_shortest_csr, YenWorkspace};
 

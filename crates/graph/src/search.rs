@@ -16,17 +16,16 @@
 //!   so callers whose costs may be NaN use it to reject a whole component.
 //!   It also returns the tree frozen as a [`PathTree`] (4 B per node) for
 //!   callers that route many targets from one source;
-//! * [`csr_dijkstra`] / [`csr_dijkstra_filtered`] — s→t queries that stop
-//!   the moment the target settles, optionally pruned by an ALT landmark
-//!   bound ([`Landmarks`]);
+//! * [`csr_dijkstra`] — s→t point queries that stop the moment the target
+//!   settles, optionally pruned by an ALT landmark bound ([`Landmarks`]);
 //! * [`csr_nearest_member`] — stops at the first settled node of a member
 //!   set: the cheapest way from a source into a set, without the full
 //!   tree and the scan over the set that would otherwise find it.
 //!
-//! [`bidirectional_dijkstra`] runs its own loop: a simultaneous
-//! forward/backward search meeting in the middle. Its cost is the exact
-//! minimum, but only **cost-only** callers should use it (ties may resolve
-//! to a different equal-cost path than the unidirectional engine).
+//! A search removes an edge in one of two ways: its cost function returns
+//! `f64::INFINITY` for it (a cut conduit, a spur search's banned root), or
+//! it runs over a [`CsrGraph::filtered`] view that leaves the edge out.
+//! Both relax the same edges in the same order and grow the same tree.
 //!
 //! DESIGN.md §10 spells out why the early exit and the ALT pruning return
 //! byte-identical paths to the full tree: once a node settles its
@@ -229,16 +228,15 @@ enum Stop<'a> {
 }
 
 /// The shared search core. It grows the tree from `source` until `stop`
-/// says so and returns the node whose settling stopped it, if any.
-/// `banned` masks nodes/edges (see [`csr_dijkstra_filtered`]); `lm`
-/// enables ALT pruning toward a [`Stop::At`] target.
+/// says so and returns the node whose settling stopped it, if any. An
+/// edge of infinite cost is never relaxed; `lm` enables ALT pruning
+/// toward a [`Stop::At`] target.
 fn run(
     csr: &CsrGraph,
     st: &mut SearchState,
     source: NodeId,
     stop: Stop<'_>,
     cost: &mut dyn FnMut(EdgeId) -> f64,
-    banned: Option<(&[bool], &[bool])>,
     lm: Option<&Landmarks>,
 ) -> Result<Option<NodeId>, GraphError> {
     let n = csr.node_count();
@@ -284,15 +282,6 @@ fn run(
             if c.is_nan() || c < 0.0 {
                 return Err(GraphError::InvalidCost { edge: e });
             }
-            if let Some((bn, be)) = banned {
-                let (u, v) = csr.endpoints(e);
-                if be.get(e.index()).copied().unwrap_or(false)
-                    || bn.get(u.index()).copied().unwrap_or(false)
-                    || bn.get(v.index()).copied().unwrap_or(false)
-                {
-                    continue;
-                }
-            }
             if c.is_infinite() {
                 continue;
             }
@@ -334,7 +323,7 @@ pub fn csr_shortest_path_tree(
     source: NodeId,
     mut cost: impl FnMut(EdgeId) -> f64,
 ) -> Result<PathTree, GraphError> {
-    run(csr, st, source, Stop::Never, &mut cost, None, None)?;
+    run(csr, st, source, Stop::Never, &mut cost, None)?;
     Ok(PathTree {
         source,
         prev_edge: st.prev_edge[..csr.node_count()].to_vec(),
@@ -346,12 +335,18 @@ pub fn csr_shortest_path_tree(
 /// cost bits) is exactly what a full [`csr_shortest_path_tree`] from
 /// `source` reconstructs, but an invalid cost is only reported if the
 /// search relaxes it before `target` settles.
+///
+/// `lm` enables ALT pruning with a [`Landmarks`] table built over the
+/// *same* cost function. A cost that masks edges with `f64::INFINITY`
+/// keeps the table admissible — masking can only lengthen true distances
+/// — so the pruned search returns the same path the unpruned one would.
 pub fn csr_dijkstra(
     csr: &CsrGraph,
     st: &mut SearchState,
     source: NodeId,
     target: NodeId,
     mut cost: impl FnMut(EdgeId) -> f64,
+    lm: Option<&Landmarks>,
 ) -> Result<Option<Path>, GraphError> {
     if target.index() >= csr.node_count() {
         return Err(GraphError::NodeOutOfBounds {
@@ -359,7 +354,7 @@ pub fn csr_dijkstra(
             nodes: csr.node_count(),
         });
     }
-    run(csr, st, source, Stop::At(target), &mut cost, None, None)?;
+    run(csr, st, source, Stop::At(target), &mut cost, lm)?;
     Ok(st.path_to(target))
 }
 
@@ -383,169 +378,8 @@ pub fn csr_nearest_member(
     members: &[bool],
     mut cost: impl FnMut(EdgeId) -> f64,
 ) -> Result<Option<Path>, GraphError> {
-    let found = run(csr, st, source, Stop::AnyOf(members), &mut cost, None, None)?;
+    let found = run(csr, st, source, Stop::AnyOf(members), &mut cost, None)?;
     Ok(found.and_then(|m| st.path_to(m)))
-}
-
-/// Like [`csr_dijkstra`] with node/edge masks — banned nodes and edges
-/// are skipped entirely, and a banned source yields `Ok(None)` — plus
-/// optional ALT pruning via a [`Landmarks`] table built over the
-/// *same* cost function. Landmark bounds stay admissible under masks —
-/// masking can only lengthen true distances — so the pruned search returns
-/// the same path the unpruned one would.
-#[allow(clippy::too_many_arguments)]
-pub fn csr_dijkstra_filtered(
-    csr: &CsrGraph,
-    st: &mut SearchState,
-    source: NodeId,
-    target: NodeId,
-    mut cost: impl FnMut(EdgeId) -> f64,
-    banned_nodes: &[bool],
-    banned_edges: &[bool],
-    lm: Option<&Landmarks>,
-) -> Result<Option<Path>, GraphError> {
-    if banned_nodes.get(source.index()).copied().unwrap_or(false) {
-        return Ok(None);
-    }
-    let in_bounds = target.index() < csr.node_count();
-    run(
-        csr,
-        st,
-        source,
-        if in_bounds {
-            Stop::At(target)
-        } else {
-            Stop::Never
-        },
-        &mut cost,
-        Some((banned_nodes, banned_edges)),
-        lm,
-    )?;
-    if !in_bounds {
-        return Err(GraphError::NodeOutOfBounds {
-            index: target.0,
-            nodes: csr.node_count(),
-        });
-    }
-    Ok(st.path_to(target))
-}
-
-/// Bidirectional Dijkstra: forward from `source` and backward from
-/// `target` (the graph is undirected, so both directions relax the same
-/// half-edges), alternating on the cheaper frontier and stopping once the
-/// frontiers prove no cheaper meeting exists.
-///
-/// The returned cost is the exact minimum. The *path* is one cheapest
-/// path, but equal-cost ties may resolve differently than
-/// [`csr_dijkstra`], and the cost is summed as `forward half + backward
-/// half` (a different float association than a left-to-right fold). Use
-/// this engine for cost-only questions — e.g. "is there a strictly
-/// cheaper alternate?" over integer-valued risk costs, where every
-/// summation order is exact.
-pub fn bidirectional_dijkstra(
-    csr: &CsrGraph,
-    fwd: &mut SearchState,
-    bwd: &mut SearchState,
-    source: NodeId,
-    target: NodeId,
-    mut cost: impl FnMut(EdgeId) -> f64,
-) -> Result<Option<Path>, GraphError> {
-    let n = csr.node_count();
-    if target.index() >= n {
-        return Err(GraphError::NodeOutOfBounds {
-            index: target.0,
-            nodes: n,
-        });
-    }
-    if source.index() >= n {
-        return Err(GraphError::NodeOutOfBounds {
-            index: source.0,
-            nodes: n,
-        });
-    }
-    if source == target {
-        return Ok(Some(Path {
-            nodes: vec![source],
-            edges: Vec::new(),
-            cost: 0.0,
-        }));
-    }
-    fwd.begin(n);
-    bwd.begin(n);
-    fwd.dist[source.index()] = 0.0;
-    fwd.touched.push(source.0);
-    fwd.heap.push(Reverse((OrdF64(0.0), source.0)));
-    bwd.dist[target.index()] = 0.0;
-    bwd.touched.push(target.0);
-    bwd.heap.push(Reverse((OrdF64(0.0), target.0)));
-
-    let mut best = f64::INFINITY;
-    let mut meet: Option<u32> = None;
-    loop {
-        let top = |h: &BinaryHeap<Reverse<(OrdF64, u32)>>| {
-            h.peek().map_or(f64::INFINITY, |Reverse((OrdF64(d), _))| *d)
-        };
-        let (tf, tb) = (top(&fwd.heap), top(&bwd.heap));
-        // No meeting can beat `best` once the frontiers together exceed it
-        // (covers both-heaps-empty too: INFINITY >= anything).
-        if tf + tb >= best {
-            break;
-        }
-        let (this, other) = if tf <= tb {
-            (&mut *fwd, &mut *bwd)
-        } else {
-            (&mut *bwd, &mut *fwd)
-        };
-        let Some(Reverse((OrdF64(d), nu))) = this.heap.pop() else {
-            break;
-        };
-        if d > this.dist[nu as usize] {
-            continue; // stale entry
-        }
-        let (eids, tgts) = csr.neighbors_raw(NodeId(nu));
-        for i in 0..eids.len() {
-            let e = EdgeId(eids[i]);
-            let c = cost(e);
-            if c.is_nan() || c < 0.0 {
-                return Err(GraphError::InvalidCost { edge: e });
-            }
-            if c.is_infinite() {
-                continue;
-            }
-            let m = tgts[i] as usize;
-            let nd = d + c;
-            // Meeting check against the opposite frontier.
-            let through = nd + other.dist[m];
-            if through < best {
-                best = through;
-                meet = Some(tgts[i]);
-            }
-            if nd < this.dist[m] {
-                if this.dist[m].is_infinite() {
-                    this.touched.push(tgts[i]);
-                }
-                this.dist[m] = nd;
-                this.prev_edge[m] = e.0;
-                this.prev_node[m] = nu;
-                this.heap.push(Reverse((OrdF64(nd), tgts[i])));
-            }
-        }
-    }
-    let Some(meet) = meet else {
-        return Ok(None);
-    };
-    // Forward half source→meet, then the backward chain meet→target.
-    let Some(mut path) = fwd.path_to(NodeId(meet)) else {
-        return Ok(None);
-    };
-    let mut cur = meet as usize;
-    while bwd.prev_edge[cur] != NONE {
-        path.edges.push(EdgeId(bwd.prev_edge[cur]));
-        path.nodes.push(NodeId(bwd.prev_node[cur]));
-        cur = bwd.prev_node[cur] as usize;
-    }
-    path.cost = best;
-    Ok(Some(path))
 }
 
 #[cfg(test)]
@@ -572,31 +406,31 @@ mod tests {
             NodeId(s),
             NodeId(t),
             |e| *g.edge(e),
+            None,
         )
     }
 
-    /// A masked point query over `g` with the given ban lists.
-    fn filtered(
-        g: &MultiGraph<(), f64>,
-        nodes: &[u32],
-        edges: &[u32],
-    ) -> Result<Option<Path>, GraphError> {
-        let mut banned_nodes = vec![false; g.node_count()];
-        let mut banned_edges = vec![false; g.edge_count()];
-        nodes.iter().for_each(|&n| banned_nodes[n as usize] = true);
-        edges.iter().for_each(|&e| banned_edges[e as usize] = true);
+    /// A point query from a(0) to d(3) over `g` with the given nodes and
+    /// edges masked by an infinite cost.
+    fn masked(g: &MultiGraph<(), f64>, nodes: &[u32], edges: &[u32]) -> Option<Path> {
         let csr = g.to_csr();
-        let mut st = SearchState::new();
-        csr_dijkstra_filtered(
+        let cost = |e: EdgeId| {
+            let (u, v) = csr.endpoints(e);
+            if edges.contains(&e.0) || nodes.contains(&u.0) || nodes.contains(&v.0) {
+                f64::INFINITY
+            } else {
+                *g.edge(e)
+            }
+        };
+        csr_dijkstra(
             &csr,
-            &mut st,
+            &mut SearchState::new(),
             NodeId(0),
             NodeId(3),
-            |e| *g.edge(e),
-            &banned_nodes,
-            &banned_edges,
+            cost,
             None,
         )
+        .unwrap()
     }
 
     #[test]
@@ -613,7 +447,7 @@ mod tests {
         ];
         for s in 0..4u32 {
             for t in 0..4u32 {
-                let p = csr_dijkstra(&csr, &mut st, NodeId(s), NodeId(t), |e| *g.edge(e))
+                let p = csr_dijkstra(&csr, &mut st, NodeId(s), NodeId(t), |e| *g.edge(e), None)
                     .unwrap()
                     .unwrap();
                 assert_eq!(p.cost, expected[s as usize][t as usize], "{s}->{t}");
@@ -665,6 +499,7 @@ mod tests {
                     5.0 * *g.edge(e)
                 }
             },
+            None,
         )
         .unwrap()
         .unwrap();
@@ -707,42 +542,41 @@ mod tests {
         let g = g();
         let csr = g.to_csr();
         let mut st = SearchState::new();
-        let first = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(3), |e| *g.edge(e))
+        let first = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(3), |e| *g.edge(e), None)
             .unwrap()
             .unwrap();
         // A second, unrelated query must not see the first one's state.
-        let second = csr_dijkstra(&csr, &mut st, NodeId(3), NodeId(0), |e| *g.edge(e))
+        let second = csr_dijkstra(&csr, &mut st, NodeId(3), NodeId(0), |e| *g.edge(e), None)
             .unwrap()
             .unwrap();
         assert_eq!(first.cost, second.cost);
-        let again = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(3), |e| *g.edge(e))
+        let again = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(3), |e| *g.edge(e), None)
             .unwrap()
             .unwrap();
         assert_eq!(first, again);
     }
 
     #[test]
-    fn filtered_banned_node_forces_detour() {
-        // Ban b: the search must take the direct a-d edge.
-        let p = filtered(&g(), &[1], &[]).unwrap().unwrap();
+    fn masked_node_forces_detour() {
+        // Mask b's edges: the search must take the direct a-d edge.
+        let p = masked(&g(), &[1], &[]).unwrap();
         assert_eq!(p.cost, 5.0);
         assert_eq!(p.edges, vec![EdgeId(3)]);
     }
 
     #[test]
-    fn filtered_banned_edges_respected() {
+    fn masked_edges_are_never_relaxed() {
         let g = g();
-        // Ban the direct a-d edge: the long way remains.
-        let p = filtered(&g, &[], &[3]).unwrap().unwrap();
+        // Mask the direct a-d edge: the long way remains.
+        let p = masked(&g, &[], &[3]).unwrap();
         assert_eq!(p.edges, vec![EdgeId(0), EdgeId(1), EdgeId(2)]);
-        // Ban b-c as well: now unreachable.
-        assert_eq!(filtered(&g, &[], &[3, 1]), Ok(None));
+        // Mask b-c as well: now unreachable.
+        assert_eq!(masked(&g, &[], &[3, 1]), None);
     }
 
     #[test]
-    fn filtered_banned_source_is_none_and_oob_targets_error() {
+    fn out_of_bounds_ids_error() {
         let g = g();
-        assert_eq!(filtered(&g, &[0], &[]), Ok(None));
         let r = query(&g, 0, 42);
         assert!(matches!(
             r,
@@ -766,12 +600,9 @@ mod tests {
         let csr = g.to_csr();
         let mut st = SearchState::new();
         for bad in [-1.0, f64::NAN] {
-            let r = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(3), |_| bad);
+            let r = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(3), |_| bad, None);
             assert!(matches!(r, Err(GraphError::InvalidCost { .. })));
             let r = csr_shortest_path_tree(&csr, &mut st, NodeId(0), |_| bad);
-            assert!(matches!(r, Err(GraphError::InvalidCost { .. })));
-            let mut bwd = SearchState::new();
-            let r = bidirectional_dijkstra(&csr, &mut st, &mut bwd, NodeId(0), NodeId(3), |_| bad);
             assert!(matches!(r, Err(GraphError::InvalidCost { .. })));
         }
     }
@@ -783,44 +614,9 @@ mod tests {
         let mut st = SearchState::new();
         // Edge c-d is NaN; a->b settles b before c-d is ever relaxed.
         let cost = |e: EdgeId| if e == EdgeId(2) { f64::NAN } else { *g.edge(e) };
-        let p = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(1), cost).unwrap();
+        let p = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(1), cost, None).unwrap();
         assert_eq!(p.map(|p| p.cost), Some(1.0));
         let r = csr_shortest_path_tree(&csr, &mut st, NodeId(0), cost);
         assert_eq!(r, Err(GraphError::InvalidCost { edge: EdgeId(2) }));
-    }
-
-    #[test]
-    fn bidirectional_finds_exact_minimum() {
-        let g = g();
-        let csr = g.to_csr();
-        let (mut fwd, mut bwd) = (SearchState::new(), SearchState::new());
-        let mut st = SearchState::new();
-        for s in 0..4u32 {
-            for t in 0..4u32 {
-                let uni = csr_dijkstra(&csr, &mut st, NodeId(s), NodeId(t), |e| *g.edge(e))
-                    .unwrap()
-                    .unwrap();
-                let bi =
-                    bidirectional_dijkstra(&csr, &mut fwd, &mut bwd, NodeId(s), NodeId(t), |e| {
-                        *g.edge(e)
-                    })
-                    .unwrap()
-                    .unwrap();
-                assert_eq!(uni.cost, bi.cost, "{s}->{t}");
-                assert!(bi.is_valid_in(&g), "{s}->{t}: {:?}", bi.nodes);
-                assert_eq!((bi.source(), bi.target()), (NodeId(s), NodeId(t)));
-            }
-        }
-    }
-
-    #[test]
-    fn bidirectional_handles_disconnection() {
-        let mut g = g();
-        let lonely = g.add_node(());
-        let csr = g.to_csr();
-        let (mut fwd, mut bwd) = (SearchState::new(), SearchState::new());
-        let r = bidirectional_dijkstra(&csr, &mut fwd, &mut bwd, NodeId(0), lonely, |e| *g.edge(e))
-            .unwrap();
-        assert!(r.is_none());
     }
 }

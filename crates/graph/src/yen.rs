@@ -5,11 +5,13 @@
 //!
 //! The algorithm runs over the frozen [`CsrGraph`] view with a reusable
 //! [`YenWorkspace`]: the spur searches share one [`SearchState`] scratch,
-//! and the ban masks are cleared via touched-lists instead of being
-//! reallocated per spur, so a reused workspace returns the same paths, in
-//! the same order, to the cost bit, as a fresh one (DESIGN.md §10).
+//! and the ban masks — applied as an infinite cost on every banned edge
+//! and on every edge touching a banned node — are cleared via
+//! touched-lists instead of being reallocated per spur, so a reused
+//! workspace returns the same paths, in the same order, to the cost bit,
+//! as a fresh one (DESIGN.md §10).
 
-use crate::{csr_dijkstra_filtered, CsrGraph, EdgeId, GraphError, Landmarks};
+use crate::{csr_dijkstra, CsrGraph, EdgeId, GraphError, Landmarks};
 use crate::{NodeId, Path, SearchState};
 
 /// Reusable scratch for [`yen_k_shortest_csr`]: the spur-search state plus
@@ -79,7 +81,7 @@ impl YenWorkspace {
 /// (`f64::INFINITY` masks an edge, as in [`crate::csr_dijkstra`]).
 ///
 /// `lm`, when given, must have been built over the same graph and cost
-/// function (spur-search ban masks are fine — masking only lengthens
+/// function (the spur searches' masks are fine — masking only lengthens
 /// distances, so the landmark bound stays admissible).
 ///
 /// Note on invalid costs: searches stop as soon as the target settles, so
@@ -99,16 +101,7 @@ pub fn yen_k_shortest_csr(
         return Ok(Vec::new());
     }
     ws.begin(csr.node_count(), csr.edge_count());
-    let first = match csr_dijkstra_filtered(
-        csr,
-        &mut ws.st,
-        source,
-        target,
-        &cost,
-        &ws.banned_nodes,
-        &ws.banned_edges,
-        lm,
-    )? {
+    let first = match csr_dijkstra(csr, &mut ws.st, source, target, &cost, lm)? {
         Some(p) => p,
         None => return Ok(Vec::new()),
     };
@@ -143,16 +136,18 @@ pub fn yen_k_shortest_csr(
                 ws.ban_node(n);
             }
 
-            let spur = csr_dijkstra_filtered(
-                csr,
-                &mut ws.st,
-                spur_node,
-                target,
-                &cost,
-                &ws.banned_nodes,
-                &ws.banned_edges,
-                lm,
-            )?;
+            // The spur node is never banned: the bans cover the root
+            // before it.
+            let (bn, be) = (&ws.banned_nodes, &ws.banned_edges);
+            let masked = |e: EdgeId| {
+                let (u, v) = csr.endpoints(e);
+                if be[e.index()] || bn[u.index()] || bn[v.index()] {
+                    f64::INFINITY
+                } else {
+                    cost(e)
+                }
+            };
+            let spur = csr_dijkstra(csr, &mut ws.st, spur_node, target, masked, lm)?;
             if let Some(spur) = spur {
                 let last = &accepted[accepted.len() - 1];
                 let root_nodes = &last.nodes[..=j];
@@ -291,10 +286,8 @@ mod tests {
         let g = g();
         let ps = yen(&g, NodeId(0), NodeId(2), 1);
         let csr = g.to_csr();
-        let dj = csr_dijkstra(&csr, &mut SearchState::new(), NodeId(0), NodeId(2), |e| {
-            *g.edge(e)
-        })
-        .unwrap();
+        let mut st = SearchState::new();
+        let dj = csr_dijkstra(&csr, &mut st, NodeId(0), NodeId(2), |e| *g.edge(e), None).unwrap();
         assert_eq!(ps.len(), 1);
         assert_eq!(Some(&ps[0]), dj.as_ref());
     }

@@ -134,8 +134,9 @@ pub fn dijkstra<N, E>(
 }
 
 /// Like [`dijkstra`], but with explicit node and edge masks: banned nodes
-/// and edges are skipped entirely. Used by Yen's algorithm and by the
-/// mitigation frameworks to search "all conduits except …".
+/// and edges are skipped entirely, and a banned source reaches nothing.
+/// The reference for point queries whose cost masks edges with
+/// `f64::INFINITY`, as Yen's spur searches and the cut what-ifs do.
 pub fn dijkstra_filtered<N, E>(
     g: &MultiGraph<N, E>,
     source: NodeId,

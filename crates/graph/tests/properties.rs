@@ -50,7 +50,7 @@ proptest! {
         let s = NodeId((s % n) as u32);
         let t = NodeId((t % n) as u32);
         let reference = bellman_ford(&g, s);
-        let found = csr_dijkstra(&g.to_csr(), &mut SearchState::new(), s, t, |e| *g.edge(e))
+        let found = csr_dijkstra(&g.to_csr(), &mut SearchState::new(), s, t, |e| *g.edge(e), None)
             .unwrap();
         match found {
             Some(p) => {

@@ -104,7 +104,7 @@ fn row_distance_km(
         return fallback_km;
     };
     let cost = |e: EdgeId| roads.graph.edge(e).length_km;
-    match csr_dijkstra(csr, st, NodeId(ai), NodeId(bi), cost) {
+    match csr_dijkstra(csr, st, NodeId(ai), NodeId(bi), cost, None) {
         Ok(Some(p)) => p.cost,
         _ => fallback_km,
     }

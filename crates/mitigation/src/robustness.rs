@@ -10,9 +10,7 @@
 
 use std::collections::HashMap;
 
-use intertubes_graph::{
-    bidirectional_dijkstra, csr_dijkstra_filtered, EdgeId, NodeId, SearchState,
-};
+use intertubes_graph::{csr_dijkstra, EdgeId, NodeId, SearchState};
 use intertubes_map::{FiberMap, MapConduitId};
 use intertubes_risk::RiskMatrix;
 use serde::{Deserialize, Serialize};
@@ -95,26 +93,27 @@ pub fn robustness_suggestion_weighted(
     let mut srrs: Vec<Vec<f64>> = vec![Vec::new(); rm.isp_count()];
 
     let mut st = SearchState::new();
-    let mut banned_edges = vec![false; graph.edge_count()];
-    let banned_nodes = vec![false; graph.node_count()];
     for &hc in heavy {
         let conduit = &map.conduits[hc.index()];
         let original_risk = rm.shared[hc.index()] as f64;
-        // Ban the heavy conduit itself; eq. 1 searches E_A, all alternate
+        // Mask the heavy conduit itself; eq. 1 searches E_A, all alternate
         // paths over existing conduits. Edge ids equal conduit indices
         // (`FiberMap::graph` adds edges in conduit order).
-        banned_edges[hc.index()] = true;
-        let alt = csr_dijkstra_filtered(
+        let masked = |e: EdgeId| {
+            if e.index() == hc.index() {
+                f64::INFINITY
+            } else {
+                risk_of(e)
+            }
+        };
+        let alt = csr_dijkstra(
             &csr,
             &mut st,
             NodeId(conduit.a.0),
             NodeId(conduit.b.0),
-            risk_of,
-            &banned_nodes,
-            &banned_edges,
+            masked,
             None,
         );
-        banned_edges[hc.index()] = false;
         // Risk costs are non-negative by construction; a conduit is simply
         // skipped if a search somehow errored.
         let Ok(Some(alt)) = alt else { continue };
@@ -197,14 +196,11 @@ pub fn already_optimal_fraction(map: &FiberMap, rm: &RiskMatrix) -> f64 {
     let csr = graph.to_csr();
     let risk_of = |e: EdgeId| rm.shared[graph.edge(e).index()] as f64;
     // One independent point query per conduit, masking only that conduit
-    // via infinite cost (edge ids equal conduit indices). The verdict is
-    // cost-only, and shared-risk costs are integers (exact f64 sums in any
-    // association), so the bidirectional engine is safe here.
+    // via infinite cost (edge ids equal conduit indices).
     let indices: Vec<usize> = (0..map.conduits.len()).collect();
     let chunk = intertubes_parallel::chunk_len(indices.len());
     let verdicts = intertubes_parallel::par_chunks_map(&indices, chunk, |_, chunk_indices| {
-        let mut fwd = SearchState::new();
-        let mut bwd = SearchState::new();
+        let mut st = SearchState::new();
         chunk_indices
             .iter()
             .map(|&i| {
@@ -217,14 +213,7 @@ pub fn already_optimal_fraction(map: &FiberMap, rm: &RiskMatrix) -> f64 {
                         risk_of(e)
                     }
                 };
-                let alt = bidirectional_dijkstra(
-                    &csr,
-                    &mut fwd,
-                    &mut bwd,
-                    NodeId(c.a.0),
-                    NodeId(c.b.0),
-                    masked,
-                );
+                let alt = csr_dijkstra(&csr, &mut st, NodeId(c.a.0), NodeId(c.b.0), masked, None);
                 // The direct conduit is optimal unless a strictly
                 // lower-risk alternate exists (errors cannot occur: risk
                 // costs are non-negative by construction).

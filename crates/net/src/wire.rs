@@ -167,6 +167,14 @@ pub enum WireError {
         /// `"tenant"` or `"snapshot"`.
         field: &'static str,
     },
+    /// A tenant or snapshot id is too long for its u8 length field, so
+    /// the frame cannot be encoded.
+    IdTooLong {
+        /// `"tenant"` or `"snapshot"`.
+        field: &'static str,
+        /// The id's length in bytes.
+        len: usize,
+    },
     /// The payload checksum does not match the payload bytes.
     ChecksumMismatch,
     /// A request routed to a snapshot id the registry does not serve.
@@ -191,6 +199,7 @@ impl WireError {
             WireError::BadKind { .. } => "bad-kind",
             WireError::LengthMismatch { .. } => "length-mismatch",
             WireError::BadUtf8 { .. } => "bad-utf8",
+            WireError::IdTooLong { .. } => "id-too-long",
             WireError::ChecksumMismatch => "checksum-mismatch",
             WireError::UnknownSnapshot { .. } => "unknown-snapshot",
             WireError::Closed => "closed",
@@ -240,6 +249,9 @@ impl std::fmt::Display for WireError {
                 )
             }
             WireError::BadUtf8 { field } => write!(f, "{field} id is not UTF-8"),
+            WireError::IdTooLong { field, len } => {
+                write!(f, "{field} id is {len} bytes, max {}", u8::MAX)
+            }
             WireError::ChecksumMismatch => write!(f, "payload checksum mismatch"),
             WireError::UnknownSnapshot { id } => write!(f, "unknown snapshot id {id:?}"),
             WireError::Closed => write!(f, "connection closed"),
@@ -255,11 +267,13 @@ impl std::error::Error for WireError {}
 pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
     let tenant = frame.tenant.as_bytes();
     let snapshot = frame.snapshot.as_bytes();
-    if tenant.len() > u8::MAX as usize {
-        return Err(WireError::BadUtf8 { field: "tenant" });
-    }
-    if snapshot.len() > u8::MAX as usize {
-        return Err(WireError::BadUtf8 { field: "snapshot" });
+    for (field, id) in [("tenant", tenant), ("snapshot", snapshot)] {
+        if id.len() > u8::MAX as usize {
+            return Err(WireError::IdTooLong {
+                field,
+                len: id.len(),
+            });
+        }
     }
     let payload = frame.payload.as_bytes();
     let body_len = HEADER_LEN + tenant.len() + snapshot.len() + payload.len();
@@ -550,9 +564,25 @@ mod tests {
     fn oversized_ids_are_rejected_at_encode() {
         let mut frame = sample();
         frame.tenant = "t".repeat(300);
-        assert!(matches!(
+        let e = encode_frame(&frame).unwrap_err();
+        assert_eq!(
+            e,
+            WireError::IdTooLong {
+                field: "tenant",
+                len: 300
+            }
+        );
+        assert_eq!(e.label(), "id-too-long");
+        let mut frame = sample();
+        frame.snapshot = "s".repeat(256);
+        assert_eq!(
             encode_frame(&frame),
-            Err(WireError::BadUtf8 { field: "tenant" })
-        ));
+            Err(WireError::IdTooLong {
+                field: "snapshot",
+                len: 256
+            })
+        );
+        frame.snapshot = "s".repeat(255);
+        assert!(encode_frame(&frame).is_ok());
     }
 }

@@ -6,6 +6,8 @@
 //! hand-written infallible pretty printer, and named built-in scenarios
 //! for tests and docs.
 
+#![deny(clippy::indexing_slicing)]
+
 use intertubes_geo::GeoPoint;
 use serde::{Deserialize, Serialize};
 
@@ -205,8 +207,7 @@ impl ScenarioPlan {
                 }
                 // Bitwise closure: the parser round-trips exact values, so
                 // "first == last" is well-defined on the parsed floats.
-                let (first, last) = (&vertices[0], &vertices[vertices.len() - 1]);
-                if first.lat != last.lat || first.lon != last.lon {
+                if vertices.first() != vertices.last() {
                     return Err(ScenarioError::UnclosedPolygon);
                 }
             }

@@ -8,7 +8,7 @@
 //! merge algebra makes the folded result — and therefore the serialized
 //! [`ConditionalRisk`] — byte-identical at any thread count.
 
-use intertubes_graph::{csr_dijkstra_filtered, CsrGraph, EdgeId, Landmarks, NodeId, SearchState};
+use intertubes_graph::{csr_dijkstra, CsrGraph, EdgeId, Landmarks, NodeId, SearchState};
 use intertubes_map::{FiberMap, MapConduitId};
 use intertubes_mitigation::{CutEvaluator, PairPaths};
 use intertubes_parallel::par_chunks_map;
@@ -139,7 +139,6 @@ fn eval_chunk(
     let n = ctx.map.conduits.len();
     let mut acc = EnsembleAccumulator::identity(n);
     let mut severed = vec![false; n];
-    let banned_nodes = vec![false; ctx.csr.node_count()];
     let mut st = SearchState::new();
     let mut hits = Vec::new();
     for &draw in draws {
@@ -153,7 +152,7 @@ fn eval_chunk(
                 .map(|e| e.conduit as usize)
                 .filter(|&c| severed[c]);
             ctx.postings.hit_pairs(severed_ids, &mut hits);
-            let disconnected = eval_pairs(ctx, &hits, &severed, &banned_nodes, &mut st, &mut acc);
+            let disconnected = eval_pairs(ctx, &hits, &severed, &mut st, &mut acc);
             acc.disconnected_total += disconnected;
             acc.max_disconnected = acc.max_disconnected.max(disconnected);
             for e in exposures {
@@ -180,7 +179,6 @@ fn eval_pairs(
     ctx: &EvalContext<'_>,
     hits: &[u32],
     severed: &[bool],
-    banned_nodes: &[bool],
     st: &mut SearchState,
     acc: &mut EnsembleAccumulator,
 ) -> u64 {
@@ -191,14 +189,15 @@ fn eval_pairs(
         };
         acc.affected_total += 1;
         let surviving_km = pair.surviving_km(severed).or_else(|| {
-            match csr_dijkstra_filtered(
+            match csr_dijkstra(
                 ctx.csr,
                 st,
                 NodeId(pair.a),
                 NodeId(pair.b),
-                |e: EdgeId| ctx.km.get(e.index()).copied().unwrap_or(f64::INFINITY),
-                banned_nodes,
-                severed,
+                |e: EdgeId| match severed.get(e.index()) {
+                    Some(true) => f64::INFINITY,
+                    _ => ctx.km.get(e.index()).copied().unwrap_or(f64::INFINITY),
+                },
                 ctx.landmarks,
             ) {
                 Ok(Some(p)) => Some(p.cost),

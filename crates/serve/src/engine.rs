@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use intertubes_geo::fiber_delay_us;
-use intertubes_graph::{csr_dijkstra_filtered, CsrGraph, EdgeId, Landmarks, NodeId, SearchState};
+use intertubes_graph::{csr_dijkstra, CsrGraph, EdgeId, Landmarks, NodeId, SearchState};
 use intertubes_map::MapConduitId;
 use intertubes_mitigation::{build_landmarks, CutEvaluator};
 use intertubes_scenario::{
@@ -302,16 +302,15 @@ impl QueryEngine {
         }
         let ids: Vec<MapConduitId> = conduits.iter().map(|&c| MapConduitId(c)).collect();
         let report = self.cuts.cut(&ids);
-        // Conduit ids are edge ids of the conduit graph, so the severed
-        // set doubles as the live search's edge ban mask.
-        let mut severed = vec![false; n];
+        // Conduit ids are edge ids of the conduit graph, so an infinite
+        // km masks each severed conduit from the live search.
+        let mut km = self.km.clone();
         for &c in conduits {
-            severed[c as usize] = true;
+            km[c as usize] = f64::INFINITY;
         }
         let mut hits = Vec::new();
         self.postings
             .hit_pairs(conduits.iter().map(|&c| c as usize), &mut hits);
-        let banned_nodes = vec![false; self.csr.node_count()];
         let mut st = SearchState::new();
         let pair_deltas = hits
             .iter()
@@ -321,14 +320,12 @@ impl QueryEngine {
                 // Exact post-cut best route via a live ALT-pruned search
                 // over the frozen adjacency (the stored k routes were only
                 // an approximation here: a k+1-th route could survive).
-                let after_us = match csr_dijkstra_filtered(
+                let after_us = match csr_dijkstra(
                     &self.csr,
                     &mut st,
                     NodeId(pair.a),
                     NodeId(pair.b),
-                    |e: EdgeId| self.km[e.index()],
-                    &banned_nodes,
-                    &severed,
+                    |e: EdgeId| km[e.index()],
                     self.landmarks.as_ref(),
                 ) {
                     Ok(Some(p)) => Some(fiber_delay_us(p.cost)),

@@ -5,7 +5,12 @@
 //! trickle of expensive cut what-ifs, and enough repetition that the
 //! cache has something to hit. The generator is seeded splitmix64 over
 //! the snapshot's own rosters and indexes — same snapshot, same seed,
-//! same workload, on every platform.
+//! same workload, on every platform. Every pick from a roster or index
+//! is a checked read, so a malformed snapshot cannot make it panic.
+
+#![deny(clippy::indexing_slicing)]
+
+use std::cmp::Reverse;
 
 use crate::query::Query;
 use crate::snapshot::StudySnapshot;
@@ -32,49 +37,47 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// Deterministic in `(snapshot, n, seed)`.
 pub fn mixed_workload(snap: &StudySnapshot, n: usize, seed: u64) -> Vec<Query> {
     let mut state = seed;
-    let isps = &snap.isps;
-    let pairs = &snap.paths.pairs;
+    let shared = &snap.risk.shared;
     // The cut pool: the 24 most-shared conduit ids (§4.2 order).
-    let mut by_share: Vec<u32> = (0..snap.risk.shared.len() as u32).collect();
-    by_share.sort_by(|&x, &y| {
-        snap.risk.shared[y as usize]
-            .cmp(&snap.risk.shared[x as usize])
-            .then_with(|| x.cmp(&y))
-    });
+    let mut by_share: Vec<u32> = (0..shared.len() as u32).collect();
+    by_share.sort_by_key(|&c| (Reverse(shared.get(c as usize)), c));
     by_share.truncate(24);
+    // A pair naming no node asks for the empty label, which is not found.
+    let label = |node: u32| {
+        let node = snap.map.nodes.get(node as usize);
+        node.map(|n| n.label.clone()).unwrap_or_default()
+    };
 
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let kind = splitmix64(&mut state) % 100;
         let draw = splitmix64(&mut state);
-        let query = if kind < 30 && !isps.is_empty() {
-            Query::IspRisk {
-                isp: isps[(draw % isps.len() as u64) as usize].clone(),
-            }
-        } else if kind < 45 && !isps.is_empty() {
-            Query::Similarity {
-                isp: isps[(draw % isps.len() as u64) as usize].clone(),
-            }
-        } else if kind < 75 && !pairs.is_empty() {
-            let pair = &pairs[(draw % pairs.len() as u64) as usize];
-            Query::Latency {
-                a: snap.map.nodes[pair.a as usize].label.clone(),
-                b: snap.map.nodes[pair.b as usize].label.clone(),
-            }
-        } else if kind < 90 || by_share.is_empty() {
-            Query::TopShared {
+        let query = match (pick(&snap.isps, draw), pick(&snap.paths.pairs, draw)) {
+            (Some(isp), _) if kind < 30 => Query::IspRisk { isp: isp.clone() },
+            (Some(isp), _) if kind < 45 => Query::Similarity { isp: isp.clone() },
+            (_, Some(pair)) if kind < 75 => Query::Latency {
+                a: label(pair.a),
+                b: label(pair.b),
+            },
+            _ if kind < 90 || by_share.is_empty() => Query::TopShared {
                 k: 4 + (draw % 12) as usize,
+            },
+            _ => {
+                let count = 1 + (draw % 3) as usize;
+                let conduits = (0..count)
+                    .filter_map(|_| pick(&by_share, splitmix64(&mut state)).copied())
+                    .collect();
+                Query::CutImpact { conduits }
             }
-        } else {
-            let count = 1 + (draw % 3) as usize;
-            let conduits = (0..count)
-                .map(|_| by_share[(splitmix64(&mut state) % by_share.len() as u64) as usize])
-                .collect();
-            Query::CutImpact { conduits }
         };
         out.push(query);
     }
     out
+}
+
+/// The element `draw` picks from `items`, or `None` if it is empty.
+fn pick<T>(items: &[T], draw: u64) -> Option<&T> {
+    items.get(draw.checked_rem(items.len() as u64)? as usize)
 }
 
 #[cfg(test)]

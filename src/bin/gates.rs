@@ -61,8 +61,7 @@ const MIN_STAGES: usize = 2;
 const MAX_REGRESSION_PCT: f64 = 20.0;
 const MEDIAN_RUNS: usize = 5;
 /// The per-query path-engine timings the `latency_paths` row must carry.
-const PATH_QUERY_FIELDS: &str = "csr_dijkstra_cold csr_dijkstra_warm bidirectional_cold \
-    bidirectional_warm csr_alt_cold csr_alt_warm";
+const PATH_QUERY_FIELDS: &str = "csr_dijkstra_cold csr_dijkstra_warm csr_alt_cold csr_alt_warm";
 
 /// Stages each traced run profile must record: the whole pipeline for
 /// `export`, the scheduler for `serve`, the ensemble for `scenario`, and
