@@ -486,7 +486,7 @@ mod tests {
     fn system() -> (Vec<City>, ConduitSystem) {
         let cities = load_cities();
         let mut rng = StdRng::seed_from_u64(1504);
-        let road = build_road_network(&cities, &mut rng);
+        let (road, _) = build_road_network(&cities, &mut rng);
         let rail = build_rail_network(&cities, &road, &mut rng);
         let pipe = build_pipeline_network(&cities, &road, &mut rng);
         let sys = build_conduit_system(

@@ -18,12 +18,12 @@
 //! direct; rails meander a little more), so the corridor-overlap analysis
 //! has realistic, non-identical polylines to work with.
 //!
-//! Cost: the road layer reads one all-pairs distance table (n² haversines,
-//! each city's neighbours sorted nearest-first). The Gabriel test of a
-//! pair only tries cities the triangle inequality lets through, and its
-//! first blocker usually ends the test, so the scan is close to one
-//! midpoint per pair rather than n haversines per pair; the 2-nearest
-//! links are a prefix of the sorted lists.
+//! Cost: the road layer reads one all-pairs distance table (n²/2
+//! haversines, each city's neighbours sorted nearest-first). The Gabriel
+//! test of a pair only tries cities the triangle inequality lets through,
+//! and its first blocker usually ends the test; each try is a dot product
+//! of unit vectors, with a midpoint only when a city sits on the circle's
+//! rim. The 2-nearest links are a prefix of the sorted lists.
 
 use intertubes_geo::{CorridorLayer, GeoPoint, Polyline};
 use intertubes_graph::{csr_dijkstra, MultiGraph, NodeId, SearchState};
@@ -104,35 +104,65 @@ impl TransportNetwork {
 /// the exact predicate would count as a blocker.
 const PRUNE_SLACK_KM: f64 = 1e-3;
 
+/// Band around a diametral circle's rim where [`Proximity::gabriel`]'s
+/// unit-vector test defers to the midpoint predicate: outside it a city is
+/// over 5e-11 rad (0.3 mm) off the rim, beyond either test's rounding.
+const DOT_MARGIN: f64 = 1e-10;
+
+fn dot(a: [f64; 3], b: [f64; 3]) -> f64 {
+    a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+}
+
+fn unit_vector(p: GeoPoint) -> [f64; 3] {
+    let (lat, lon) = (p.lat.to_radians(), p.lon.to_radians());
+    [lat.cos() * lon.cos(), lat.cos() * lon.sin(), lat.sin()]
+}
+
 /// Great-circle distances between every ordered pair of cities, with each
 /// city's neighbours sorted nearest-first. Built once per road network and
-/// read by both [`gabriel_pairs`] and [`knn_pairs`].
+/// read by both [`gabriel_pairs`] and [`knn_pairs`]; the world keeps the
+/// order as [`World::nearest_first`](crate::World).
 struct Proximity {
     n: usize,
     /// `dist[u * n + v]` is exactly `cities[u].location.distance_km(&cities[v].location)`.
     dist: Vec<f64>,
-    /// Row `u` (`n - 1` entries) holds every other city ordered by
+    /// Each city's position as a unit vector.
+    unit: Vec<[f64; 3]>,
+    /// Row `u` (`n` entries) holds `u`, then every other city ordered by
     /// (distance from `u`, index).
-    nearest: Vec<u32>,
+    order: Vec<u32>,
 }
 
 impl Proximity {
     fn new(cities: &[City]) -> Proximity {
         let n = cities.len();
-        let mut dist = Vec::with_capacity(n * n);
-        for a in cities {
-            dist.extend(cities.iter().map(|b| a.location.distance_km(&b.location)));
+        // Haversine is bit-symmetric over the gazetteer (`tests/determinism.rs`).
+        let mut dist = vec![0.0; n * n];
+        for (u, a) in cities.iter().enumerate() {
+            for (v, b) in cities.iter().enumerate().skip(u + 1) {
+                let d = a.location.distance_km(&b.location);
+                dist[u * n + v] = d;
+                dist[v * n + u] = d;
+            }
         }
-        let mut nearest = Vec::with_capacity(n * n.saturating_sub(1));
-        for u in 0..n {
-            let row = &dist[u * n..(u + 1) * n];
-            let start = nearest.len();
-            nearest.extend((0..n as u32).filter(|&v| v as usize != u));
-            nearest[start..].sort_unstable_by(|&a, &b| {
-                row[a as usize].total_cmp(&row[b as usize]).then(a.cmp(&b))
-            });
+        // Distances are finite and non-negative, where the bit patterns
+        // order as the values do.
+        let mut order = Vec::with_capacity(n * n);
+        let mut keys: Vec<(u64, u32)> = Vec::with_capacity(n);
+        for (u, row) in dist.chunks_exact(n.max(1)).enumerate() {
+            keys.clear();
+            keys.extend(row.iter().zip(0..).map(|(d, v)| (d.to_bits(), v)));
+            keys.swap_remove(u);
+            keys.sort_unstable();
+            order.push(u as u32);
+            order.extend(keys.iter().map(|&(_, v)| v));
         }
-        Proximity { n, dist, nearest }
+        Proximity {
+            n,
+            dist,
+            unit: cities.iter().map(|c| unit_vector(c.location)).collect(),
+            order,
+        }
     }
 
     fn d(&self, u: usize, v: usize) -> f64 {
@@ -141,8 +171,7 @@ impl Proximity {
 
     /// Every city but `u`, nearest to `u` first.
     fn nearest(&self, u: usize) -> &[u32] {
-        let m = self.n - 1;
-        &self.nearest[u * m..(u + 1) * m]
+        &self.order[u * self.n + 1..(u + 1) * self.n]
     }
 
     /// The prefix of [`Proximity::nearest`] closer to `u` than `reach` km.
@@ -157,8 +186,10 @@ impl Proximity {
     /// A blocker `w` lies within `r` of the midpoint, so by the triangle
     /// inequality both `d(u, w)` and `d(v, w)` are below `d(u, v)` (plus
     /// [`PRUNE_SLACK_KM`]). Only cities that pass that bound, read from the
-    /// shorter of the two endpoints' sorted lists, reach the exact
-    /// midpoint predicate; the midpoint is computed only if one does.
+    /// shorter of the two endpoints' sorted lists, reach the test. On unit
+    /// vectors `w` is inside iff `p_w·(p_u+p_v) > 1 + p_u·p_v`; within
+    /// [`DOT_MARGIN`] of equality the midpoint predicate decides, the
+    /// midpoint computed only if some city needs it.
     fn gabriel(&self, cities: &[City]) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for u in 0..self.n {
@@ -171,12 +202,19 @@ impl Proximity {
                 } else {
                     (u, from_v)
                 };
+                let (pu, pv) = (self.unit[u], self.unit[v]);
+                let sum = [pu[0] + pv[0], pu[1] + pv[1], pu[2] + pv[2]];
+                let rim = 1.0 + dot(pu, pv);
                 let r = duv / 2.0;
                 let mut mid = None;
                 let blocked = candidates.iter().any(|&w| {
                     let w = w as usize;
                     if w == other || self.d(other, w) >= reach {
                         return false;
+                    }
+                    let gap = dot(self.unit[w], sum) - rim;
+                    if gap.abs() > DOT_MARGIN {
+                        return gap > 0.0;
                     }
                     let mid = *mid
                         .get_or_insert_with(|| cities[u].location.midpoint(&cities[v].location));
@@ -341,13 +379,16 @@ fn build_network(
 }
 
 /// Builds the roadway network: Gabriel graph ∪ 2-nearest-neighbour links.
-pub fn build_road_network(cities: &[City], rng: &mut StdRng) -> TransportNetwork {
+/// Also returns the nearest-first order it sorted, laid out as
+/// [`World::nearest_first`](crate::World).
+pub fn build_road_network(cities: &[City], rng: &mut StdRng) -> (TransportNetwork, Vec<u32>) {
     let proximity = Proximity::new(cities);
     let mut pairs = proximity.gabriel(cities);
     pairs.extend(proximity.knn(2));
     pairs.sort_unstable();
     pairs.dedup();
-    build_network(cities, CorridorLayer::Road, &pairs, rng, 0.03)
+    let roads = build_network(cities, CorridorLayer::Road, &pairs, rng, 0.03);
+    (roads, proximity.order)
 }
 
 /// Builds the railway network: a seeded subset of road corridors, biased
@@ -481,7 +522,7 @@ mod tests {
     #[test]
     fn road_network_is_connected_and_planar_scale() {
         let cities = load_cities();
-        let road = build_road_network(&cities, &mut rng());
+        let (road, _) = build_road_network(&cities, &mut rng());
         assert!(is_connected(&road.graph), "road network must be connected");
         let m = road.graph.edge_count();
         let n = road.graph.node_count();
@@ -494,7 +535,7 @@ mod tests {
     fn rail_is_subset_scale_of_road() {
         let cities = load_cities();
         let mut r = rng();
-        let road = build_road_network(&cities, &mut r);
+        let (road, _) = build_road_network(&cities, &mut r);
         let rail = build_rail_network(&cities, &road, &mut r);
         assert!(rail.graph.edge_count() < road.graph.edge_count());
         assert!(rail.graph.edge_count() > road.graph.edge_count() / 4);
@@ -503,7 +544,7 @@ mod tests {
     #[test]
     fn corridor_geometry_endpoints_match_cities() {
         let cities = load_cities();
-        let road = build_road_network(&cities, &mut rng());
+        let (road, _) = build_road_network(&cities, &mut rng());
         for e in road.graph.edge_refs() {
             let a = cities[e.u.index()].location;
             let b = cities[e.v.index()].location;
@@ -520,7 +561,7 @@ mod tests {
     #[test]
     fn circuity_is_bounded_and_skewed() {
         let cities = load_cities();
-        let road = build_road_network(&cities, &mut rng());
+        let (road, _) = build_road_network(&cities, &mut rng());
         let mut ratios = Vec::new();
         for e in road.graph.edge_refs() {
             let direct = cities[e.u.index()]
@@ -548,7 +589,7 @@ mod tests {
     fn pipeline_network_includes_papers_examples() {
         let cities = load_cities();
         let mut r = rng();
-        let road = build_road_network(&cities, &mut r);
+        let (road, _) = build_road_network(&cities, &mut r);
         let pipe = build_pipeline_network(&cities, &road, &mut r);
         let laurel = find_city(&cities, "Laurel", "MS").unwrap();
         assert!(
@@ -562,8 +603,8 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let cities = load_cities();
-        let a = build_road_network(&cities, &mut rng());
-        let b = build_road_network(&cities, &mut rng());
+        let (a, _) = build_road_network(&cities, &mut rng());
+        let (b, _) = build_road_network(&cities, &mut rng());
         assert_eq!(a.graph.edge_count(), b.graph.edge_count());
         for (ea, eb) in a.graph.edge_refs().zip(b.graph.edge_refs()) {
             assert_eq!(ea.data.geometry, eb.data.geometry);
@@ -573,7 +614,7 @@ mod tests {
     #[test]
     fn total_length_is_positive_sum() {
         let cities = load_cities();
-        let road = build_road_network(&cities, &mut rng());
+        let (road, _) = build_road_network(&cities, &mut rng());
         let total = road.total_length_km();
         let sum: f64 = road.graph.edge_refs().map(|e| e.data.length_km).sum();
         assert!((total - sum).abs() < 1e-6);

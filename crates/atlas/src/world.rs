@@ -77,6 +77,10 @@ pub struct World {
     pub roster: Vec<IspProfile>,
     /// Ground-truth footprints, aligned with `roster`.
     pub footprints: Vec<Footprint>,
+    /// Row `id * cities.len()` holds every city id by great-circle distance
+    /// from `id`: `id` itself, then the others nearest first, ties in id
+    /// order. The road builder sorts it.
+    pub nearest_first: Vec<u32>,
 }
 
 impl World {
@@ -85,7 +89,7 @@ impl World {
         let mut span = intertubes_obs::stage("world.generate");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let cities = load_cities();
-        let roads = build_road_network(&cities, &mut rng);
+        let (roads, nearest_first) = build_road_network(&cities, &mut rng);
         let rails = build_rail_network(&cities, &roads, &mut rng);
         let pipelines = build_pipeline_network(&cities, &roads, &mut rng);
         let system = build_conduit_system(
@@ -120,6 +124,7 @@ impl World {
             system,
             roster,
             footprints,
+            nearest_first,
         }
     }
 
@@ -154,6 +159,7 @@ impl World {
     /// Deterministic: noise derives from the world seed and the provider
     /// index, not from generation-time RNG state.
     pub fn publish_maps(&self) -> Vec<PublishedMap> {
+        let mut span = intertubes_obs::stage("world.publish");
         let mut out = Vec::with_capacity(MAPPED_ISPS);
         for (i, isp) in self.roster.iter().take(MAPPED_ISPS).enumerate() {
             let mut rng = StdRng::seed_from_u64(self.config.seed ^ (0x9e37_79b9 + i as u64));
@@ -192,6 +198,8 @@ impl World {
                 links,
             });
         }
+        span.items("maps", out.len());
+        span.items("links", out.iter().map(|m| m.links.len()).sum());
         out
     }
 }

@@ -137,6 +137,54 @@ fn knn_matches_full_sort_on_the_city_table() {
     }
 }
 
+/// `k` points evenly spaced on the circle of `radius_km` about `center`,
+/// the first at bearing `phase`°.
+fn on_circle(center: (f64, f64), radius_km: f64, k: usize, phase: f64) -> Vec<(f64, f64)> {
+    let center = GeoPoint::new_unchecked(center.0, center.1);
+    (0..k)
+        .map(|i| {
+            let p = center.destination(phase + 360.0 * i as f64 / k as f64, radius_km);
+            (p.lat, p.lon)
+        })
+        .collect()
+}
+
+/// Co-circular cities sit on a diametral circle's rim, where the
+/// unit-vector test's two sides agree to rounding: the pruned scan must
+/// hand them to the midpoint predicate, which lets the pair through.
+#[test]
+fn co_circular_cities_reach_the_exact_predicate() {
+    let centers = [(30.5, -97.7), (39.7, -104.9), (41.9, -87.6), (47.6, -122.3)];
+    for (i, &center) in centers.iter().enumerate() {
+        for (radius, phase) in [(5.0, 0.0), (60.0, 17.0), (250.0, 45.0), (700.0, 71.5)] {
+            // The four corners of a square: each diagonal's circle passes
+            // through the other two corners.
+            let cities = mk_cities(on_circle(center, radius, 4, phase + i as f64));
+            let pairs = gabriel_pairs(&cities);
+            assert_eq!(
+                pairs,
+                brute_force_gabriel(&cities),
+                "square {center:?} r {radius}"
+            );
+            assert!(
+                pairs.contains(&(0, 2)) && pairs.contains(&(1, 3)),
+                "{pairs:?}"
+            );
+
+            // A third city placed on the diametral circle of a pair.
+            let (a, b) = (cities[0].location, cities[1].location);
+            let mid = a.midpoint(&b);
+            let rim = mid.destination(phase + 90.0, a.distance_km(&b) / 2.0);
+            let cities = mk_cities(vec![(a.lat, a.lon), (b.lat, b.lon), (rim.lat, rim.lon)]);
+            assert_eq!(
+                gabriel_pairs(&cities),
+                brute_force_gabriel(&cities),
+                "rim point {center:?} r {radius}"
+            );
+        }
+    }
+}
+
 /// Union-find connectivity over index pairs.
 fn connected(n: usize, edges: &[(usize, usize)]) -> bool {
     let mut parent: Vec<usize> = (0..n).collect();

@@ -778,8 +778,8 @@ fn drop_links(maps: &mut [PublishedMap], inj: &mut Injector) {
 // ---------------------------------------------------------------------------
 
 /// Perturbs the public-records corpus, returning a freshly indexed
-/// corpus (the inverted index is rebuilt so searches see the perturbed
-/// text).
+/// corpus (the city index is rebuilt so pair lookups see the perturbed
+/// labels).
 pub fn inject_corpus(corpus: &Corpus, inj: &mut Injector) -> Corpus {
     let mut docs: Vec<Document> = corpus.docs().to_vec();
     corrupt_documents(&mut docs, inj);

@@ -159,7 +159,7 @@ impl CorridorIndex {
         // addition), and the total is the same at every thread count.
         intertubes_obs::counter("geo.corridor_queries", 1);
         // Score candidate corridors by mean distance over a few route samples.
-        let samples = [0.25, 0.5, 0.75].map(|t| pl.point_at_fraction(t));
+        let samples = pl.points_at_fractions([0.25, 0.5, 0.75]);
         let grid = self.layer(layer);
         let mut best: Option<(u32, f64)> = None;
         for s in &samples {

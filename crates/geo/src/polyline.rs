@@ -69,16 +69,30 @@ impl Polyline {
         self.point_at_distance(t.clamp(0.0, 1.0) * total)
     }
 
+    /// The points at each fraction of `ts`, bit for bit what
+    /// [`Polyline::point_at_fraction`] returns for each, from one pass of
+    /// segment lengths instead of one per fraction.
+    pub fn points_at_fractions<const N: usize>(&self, ts: [f64; N]) -> [GeoPoint; N] {
+        let seg_km: Vec<f64> = self.segments().map(|(a, b)| a.distance_km(b)).collect();
+        let total: f64 = seg_km.iter().sum();
+        ts.map(|t| self.walk(t.clamp(0.0, 1.0) * total, seg_km.iter().copied()))
+    }
+
     /// The point `km` kilometers along the polyline from its start.
     ///
     /// Clamped to the endpoints.
     pub fn point_at_distance(&self, km: f64) -> GeoPoint {
+        self.walk(km, self.segments().map(|(a, b)| a.distance_km(b)))
+    }
+
+    /// [`Polyline::point_at_distance`] over given segment lengths (`seg_km`
+    /// in segment order): the same comparisons and subtractions.
+    fn walk(&self, km: f64, seg_km: impl IntoIterator<Item = f64>) -> GeoPoint {
         if km <= 0.0 {
             return self.start();
         }
         let mut remaining = km;
-        for (a, b) in self.segments() {
-            let seg = a.distance_km(b);
+        for ((a, b), seg) in self.segments().zip(seg_km) {
             if remaining <= seg {
                 if seg < 1e-12 {
                     return *a;

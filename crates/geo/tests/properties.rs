@@ -11,7 +11,37 @@ fn conus_point() -> impl Strategy<Value = GeoPoint> {
     (25.0f64..49.0, -124.0f64..-67.0).prop_map(|(lat, lon)| GeoPoint::new_unchecked(lat, lon))
 }
 
+/// Bit patterns of a point, for exact comparison.
+fn bits(p: GeoPoint) -> (u64, u64) {
+    (p.lat.to_bits(), p.lon.to_bits())
+}
+
 proptest! {
+    /// One pass of segment lengths serves every fraction exactly as a
+    /// fresh `point_at_fraction` would: on polylines with zero-length
+    /// segments (repeated vertices), both ways round, at both ends, at the
+    /// clustering fractions and their mirrors, and clamped outside [0, 1].
+    #[test]
+    fn one_walk_samples_equal_point_at_fraction(
+        pts in prop::collection::vec((conus_point(), 0usize..3), 1..9),
+        t in 0.0f64..1.0,
+        u in 0.0f64..1.0,
+    ) {
+        let pts: Vec<GeoPoint> =
+            pts.into_iter().flat_map(|(p, k)| std::iter::repeat_n(p, k + 1)).collect();
+        let Ok(mut pl) = Polyline::new(pts) else { return Ok(()) };
+        let ts = [0.0, 1.0, t, u, 1.0 - t, 0.2, 0.35, 0.5, 0.65, 0.8, -0.5, 1.5];
+        for _ in 0..2 {
+            let walked = pl.points_at_fractions(ts);
+            let mirrored = pl.points_at_fractions(ts.map(|t| 1.0 - t));
+            for (i, &t) in ts.iter().enumerate() {
+                prop_assert_eq!(bits(walked[i]), bits(pl.point_at_fraction(t)), "t = {}", t);
+                prop_assert_eq!(bits(mirrored[i]), bits(pl.point_at_fraction(1.0 - t)), "1 - t = {}", 1.0 - t);
+            }
+            pl.reverse();
+        }
+    }
+
     #[test]
     fn distance_symmetric(a in conus_point(), b in conus_point()) {
         let d1 = haversine_km(&a, &b);

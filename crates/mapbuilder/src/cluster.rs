@@ -19,12 +19,11 @@ pub fn geometry_separation_km(g1: &Polyline, g2: &Polyline) -> f64 {
     let fwd = g1.start().distance_km(&g2.start()) + g1.end().distance_km(&g2.end());
     let rev = g1.start().distance_km(&g2.end()) + g1.end().distance_km(&g2.start());
     let flip = rev < fwd;
+    let p1 = g1.points_at_fractions(FRACTIONS);
+    let p2 = g2.points_at_fractions(FRACTIONS.map(|t| if flip { 1.0 - t } else { t }));
     let mut total = 0.0;
-    for t in FRACTIONS {
-        let p1 = g1.point_at_fraction(t);
-        let t2 = if flip { 1.0 - t } else { t };
-        let p2 = g2.point_at_fraction(t2);
-        total += p1.distance_km(&p2);
+    for (a, b) in p1.iter().zip(&p2) {
+        total += a.distance_km(b);
     }
     total / FRACTIONS.len() as f64
 }

@@ -75,20 +75,28 @@ pub struct BuiltMap {
     pub reports: Vec<StepReport>,
 }
 
-/// Public gazetteer lookups used by the pipeline.
+/// Public gazetteer lookups used by the pipeline. A label names the
+/// first city that carries it, as a scan of the table would find it.
 struct Gazetteer<'a> {
     by_label: HashMap<String, &'a City>,
 }
 
 impl<'a> Gazetteer<'a> {
     fn new(cities: &'a [City]) -> Self {
-        Gazetteer {
-            by_label: cities.iter().map(|c| (c.label(), c)).collect(),
+        let mut by_label = HashMap::with_capacity(cities.len());
+        for c in cities {
+            by_label.entry(c.label()).or_insert(c);
         }
+        Gazetteer { by_label }
     }
 
     fn location(&self, label: &str) -> Option<GeoPoint> {
         self.by_label.get(label).map(|c| c.location)
+    }
+
+    /// The labelled city's population; 0 for an unknown label.
+    fn population(&self, label: &str) -> u32 {
+        self.by_label.get(label).map_or(0, |c| c.population)
     }
 }
 
@@ -786,11 +794,9 @@ pub fn build_map_checked(
         // Apply the §2 long-haul definition: a conduit stays if it spans
         // ≥ 30 miles, or joins ≥ 100 k-population centers, or is shared by ≥ 2
         // providers (the definition is disjunctive).
-        let dropped = apply_long_haul_policy(&mut map, cities, &cfg.policy);
-        let mut final_report = report(4, &map);
         // Dropped metro-scale conduits are reported implicitly via the totals.
-        let _ = dropped;
-        final_report.step = 4;
+        apply_long_haul_policy(&mut map, &gaz, &cfg.policy);
+        let final_report = report(4, &map);
         step_items(&mut span, &final_report);
         reports.push(final_report);
     }
@@ -831,28 +837,18 @@ pub fn build_map(
 }
 
 /// Drops conduits failing every criterion of the long-haul definition.
-/// Returns how many were removed.
 fn apply_long_haul_policy(
     map: &mut FiberMap,
-    cities: &[City],
+    gaz: &Gazetteer<'_>,
     policy: &crate::model::LongHaulPolicy,
-) -> usize {
-    let pop = |label: &str| -> u32 {
-        cities
-            .iter()
-            .find(|c| c.label() == label)
-            .map(|c| c.population)
-            .unwrap_or(0)
-    };
-    let before = map.conduits.len();
-    let nodes = map.nodes.clone();
+) {
+    let nodes = &map.nodes;
     map.conduits.retain(|c| {
         let span_km = c.geometry.length_km();
-        let pa = pop(&nodes[c.a.index()].label);
-        let pb = pop(&nodes[c.b.index()].label);
+        let pa = gaz.population(&nodes[c.a.index()].label);
+        let pb = gaz.population(&nodes[c.b.index()].label);
         policy.qualifies(span_km, pa, pb, c.tenant_count())
     });
-    before - map.conduits.len()
 }
 
 #[cfg(test)]

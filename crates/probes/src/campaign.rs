@@ -22,7 +22,7 @@
 //! never holds the campaign whole. Either way the draws, and so the
 //! traces, are the same.
 
-use intertubes_atlas::{City, CityId, IspId, IspTier, World};
+use intertubes_atlas::{CityId, IspId, IspTier, World};
 use intertubes_graph::{csr_shortest_path_tree, CsrGraph, EdgeId, NodeId, PathTree, SearchState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -120,9 +120,6 @@ struct CarrierTable<'w> {
     /// `provider * cities + city`, grown on first use; `Some(None)` if the
     /// search failed (every target unreachable).
     trees: Vec<Option<Option<PathTree>>>,
-    /// Per source city, row `src * cities`: every city id, nearest first
-    /// by great-circle distance (equal distances keep id order).
-    nearest_first: Vec<u32>,
 }
 
 impl<'w> CarrierTable<'w> {
@@ -180,7 +177,6 @@ impl<'w> CarrierTable<'w> {
             present,
             access_weight,
             transit_weight,
-            nearest_first: nearest_first(&world.cities),
         }
     }
 
@@ -228,7 +224,7 @@ impl<'w> CarrierTable<'w> {
     /// providers touch that lies nearest `src`, the lowest id on ties.
     fn peering(&self, access: usize, transit: usize, src: CityId) -> Option<CityId> {
         let n = self.world.cities.len();
-        let order = &self.nearest_first[src.index() * n..(src.index() + 1) * n];
+        let order = &self.world.nearest_first[src.index() * n..(src.index() + 1) * n];
         let (a, t) = (&self.presence[access], &self.presence[transit]);
         order
             .iter()
@@ -261,34 +257,6 @@ fn weighted_pick(
         x -= weights[i];
     }
     None
-}
-
-/// Every city's nearest-first order of all cities, one row per source:
-/// ids by great-circle distance from the source, equal distances in id
-/// order. Haversine is bit-symmetric over the gazetteer
-/// (`tests/determinism.rs`), so each pair's distance is computed once and
-/// read from both ends.
-fn nearest_first(cities: &[City]) -> Vec<u32> {
-    let n = cities.len();
-    let mut km = vec![0.0; n * n];
-    for (i, a) in cities.iter().enumerate() {
-        for (j, b) in cities.iter().enumerate().skip(i) {
-            let d = b.location.distance_km(&a.location);
-            km[i * n + j] = d;
-            km[j * n + i] = d;
-        }
-    }
-    // Distances are finite and non-negative, where the bit patterns order
-    // as the values do; the id breaks ties.
-    let mut order = Vec::with_capacity(n * n);
-    let mut keys: Vec<(u64, u32)> = Vec::with_capacity(n);
-    for row in km.chunks_exact(n.max(1)) {
-        keys.clear();
-        keys.extend((0..n as u32).zip(row).map(|(j, d)| (d.to_bits(), j)));
-        keys.sort_unstable();
-        order.extend(keys.iter().map(|&(_, j)| j));
-    }
-    order
 }
 
 /// City-level route plus the provider owning each hop-to-hop segment.

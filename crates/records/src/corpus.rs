@@ -50,35 +50,23 @@ impl Default for CorpusConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Corpus {
     docs: Vec<Document>,
-    /// Inverted index: lowercase token → doc ids (sorted).
-    index: HashMap<String, Vec<DocId>>,
+    /// Exact city label → ids of the documents naming it, in corpus order.
+    by_city: HashMap<String, Vec<DocId>>,
 }
 
 impl Corpus {
-    /// Builds a corpus (and its index) from finished documents.
+    /// Builds a corpus (and its city index) from finished documents.
     pub fn from_documents(docs: Vec<Document>) -> Corpus {
-        let mut index: HashMap<String, Vec<DocId>> = HashMap::new();
+        let mut by_city: HashMap<String, Vec<DocId>> = HashMap::new();
         for d in &docs {
-            let mut text = String::new();
-            text.push_str(&d.title);
-            text.push(' ');
-            text.push_str(&d.body);
             for c in &d.cities {
-                text.push(' ');
-                text.push_str(c);
-            }
-            for i in &d.isps {
-                text.push(' ');
-                text.push_str(i);
-            }
-            let mut tokens: Vec<String> = tokenize(&text);
-            tokens.sort_unstable();
-            tokens.dedup();
-            for t in tokens {
-                index.entry(t).or_default().push(d.id);
+                let ids = by_city.entry(c.clone()).or_default();
+                if ids.last() != Some(&d.id) {
+                    ids.push(d.id);
+                }
             }
         }
-        Corpus { docs, index }
+        Corpus { docs, by_city }
     }
 
     /// Number of records.
@@ -104,33 +92,34 @@ impl Corpus {
     /// Keyword search in the spirit of the paper's
     /// `"los angeles to san francisco fiber iru at&t sprint"` queries:
     /// records matching the most query tokens first; records matching fewer
-    /// than `min_hits` tokens are dropped.
+    /// than `min_hits` tokens (or none) are dropped. Each query token, repeats
+    /// included, that a record's text holds scores one hit.
     pub fn search(&self, query: &str, min_hits: usize) -> Vec<DocId> {
-        let mut scores: HashMap<DocId, usize> = HashMap::new();
-        for token in tokenize(query) {
-            if let Some(ids) = self.index.get(&token) {
-                for id in ids {
-                    *scores.entry(*id).or_insert(0) += 1;
-                }
+        let query = tokenize(query);
+        let mut hits: Vec<(DocId, usize)> = Vec::new();
+        for d in &self.docs {
+            let text: [&str; 4] = [&d.title, &d.body, &d.cities.join(" "), &d.isps.join(" ")];
+            let tokens = tokenize(&text.join(" "));
+            let score = query.iter().filter(|t| tokens.contains(t)).count();
+            if score > 0 && score >= min_hits {
+                hits.push((d.id, score));
             }
         }
-        let mut hits: Vec<(DocId, usize)> =
-            scores.into_iter().filter(|(_, s)| *s >= min_hits).collect();
         hits.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         hits.into_iter().map(|(id, _)| id).collect()
     }
 
-    /// All records naming both cities (the work-horse lookup of steps 2/4).
+    /// All records naming both cities (the work-horse lookup of steps 2/4),
+    /// in corpus order. A label with no search token (see [`tokenize`])
+    /// finds nothing.
     pub fn records_for_pair(&self, a: &str, b: &str) -> Vec<DocId> {
-        // Use the index on the rarer city token to narrow, then filter.
-        let ta = tokenize(a);
-        let candidates: Vec<DocId> = ta
-            .first()
-            .and_then(|t| self.index.get(t))
-            .cloned()
-            .unwrap_or_default();
+        if tokenize(a).is_empty() {
+            return Vec::new();
+        }
+        let candidates = self.by_city.get(a).map_or(&[][..], Vec::as_slice);
         candidates
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|id| self.doc(*id).mentions_pair(a, b))
             .collect()
     }

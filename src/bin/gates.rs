@@ -69,8 +69,8 @@ const PATH_QUERY_FIELDS: &str = "csr_dijkstra_cold csr_dijkstra_warm csr_alt_col
 /// export's §4.3 work is `probes.fold`: its overlay streams the campaign
 /// through one span instead of collecting it (`probes.campaign`) and then
 /// overlaying it (`overlay`).
-const EXPORT_STAGES: &str = "world.generate corpus.generate records.sanitize map.sanitize \
-    map.step1 map.step2 map.step3 map.step4 probes.fold risk.matrix risk.hamming \
+const EXPORT_STAGES: &str = "world.generate corpus.generate world.publish records.sanitize \
+    map.sanitize map.step1 map.step2 map.step3 map.step4 probes.fold risk.matrix risk.hamming \
     mitigation.robustness mitigation.augmentation mitigation.latency";
 const SERVE_STAGES: &str = "serve.load serve.replay serve.schedule";
 const SCENARIO_STAGES: &str = "serve.load scenario.ensemble";

@@ -510,7 +510,7 @@ fn world_generation_matches_golden_digests() {
         // uncalibrated footprints and the reserved conduits are visible.
         let mut rng = StdRng::seed_from_u64(seed);
         let cities = load_cities();
-        let roads = build_road_network(&cities, &mut rng);
+        let (roads, _) = build_road_network(&cities, &mut rng);
         let rails = build_rail_network(&cities, &roads, &mut rng);
         let pipelines = build_pipeline_network(&cities, &roads, &mut rng);
         let system = build_conduit_system(
