@@ -288,7 +288,7 @@ impl Study {
     /// Freezes this study into a serving snapshot (DESIGN.md §9): the
     /// constructed map, the §4 risk artifacts, a traceroute overlay, the
     /// precomputed path index, and the ALT landmark tables, all sealed in
-    /// the checksummed `intertubes-snapshot/v3` container.
+    /// the checksummed `intertubes-snapshot/v4` container.
     ///
     /// `probes` sizes the embedded [`Study::overlay`] (`None` = the
     /// configured probe count). This is the expensive build phase the

@@ -13,7 +13,7 @@
 //! uncovered components), which spreads landmarks to the graph periphery
 //! where the bounds are tightest.
 //!
-//! Distance rows are frozen into `intertubes-snapshot/v3` containers
+//! Distance rows are frozen into `intertubes-snapshot/v4` containers
 //! through [`Landmarks::from_parts`] and the accessors, and stay
 //! serialisable for JSON reports. Unreachable entries are stored as `-1.0`
 //! rather than `f64::INFINITY` because JSON cannot represent infinities.

@@ -6,7 +6,7 @@
 //! This crate splits the two concerns:
 //!
 //! * [`snapshot`] — the versioned, checksummed container
-//!   (`intertubes-snapshot/v3`; any other schema, v1 and v2 included,
+//!   (`intertubes-snapshot/v4`; any other schema, v1–v3 included,
 //!   is rejected) that freezes a built study: physical map, risk matrix,
 //!   Hamming heat map, traceroute overlay, the precomputed
 //!   [`index::PathIndex`], and the ALT landmark tables for the live search
@@ -67,8 +67,8 @@ pub use scheduler::{
     ServeStats,
 };
 pub use snapshot::{
-    fnv1a64, section_bounds, SectionBounds, SnapshotError, StudySnapshot, SNAPSHOT_MAGIC,
-    SNAPSHOT_SCHEMA,
+    fnv1a64, section_bounds, section_checksum, SectionBounds, SnapshotError, StudySnapshot,
+    SNAPSHOT_MAGIC, SNAPSHOT_SCHEMA,
 };
 pub use telemetry::{
     canonicalize_stats, duration_bucket, response_kind, CacheOutcome, CountPlane, FlightDump,

@@ -13,7 +13,8 @@
 mod common;
 
 use intertubes::serve::{
-    fnv1a64, section_bounds, SnapshotError, StudySnapshot, SNAPSHOT_MAGIC, SNAPSHOT_SCHEMA,
+    fnv1a64, section_bounds, section_checksum, SnapshotError, StudySnapshot, SNAPSHOT_MAGIC,
+    SNAPSHOT_SCHEMA,
 };
 use intertubes::{IntertubesError, Study, StudyConfig};
 
@@ -92,7 +93,7 @@ fn container(schema: &str, payload: &str) -> Vec<u8> {
     let header = format!(
         "{{\"schema\":\"{schema}\",\"payload_len\":{},\"checksum\":\"{:016x}\"}}",
         payload.len(),
-        fnv1a64(payload.as_bytes())
+        section_checksum(payload.as_bytes())
     );
     let mut out = SNAPSHOT_MAGIC.to_vec();
     out.extend_from_slice(&(header.len() as u64).to_le_bytes());
@@ -186,7 +187,7 @@ fn snapshot_saves_loads_and_resaves_byte_identically() {
 }
 
 #[test]
-fn v3_container_names_the_schema_and_round_trips_landmarks() {
+fn v4_container_names_the_schema_and_round_trips_landmarks() {
     let snap = tiny_snapshot();
     let bytes = snap.to_bytes().unwrap();
     let header = header_text(&bytes).expect("the header is UTF-8");
@@ -217,12 +218,41 @@ fn v1_headers_are_rejected_as_a_wrong_schema() {
 }
 
 /// A v2 container (JSON payload) is refused by name, before its payload
-/// is read: there is no v2 reader beside v3.
+/// is read: there is no v2 reader beside v4.
 #[test]
 fn v2_containers_are_rejected_as_a_wrong_schema() {
     let bytes = container("intertubes-snapshot/v2", r#"{"config":null}"#);
     match StudySnapshot::from_bytes(&bytes).unwrap_err() {
         SnapshotError::WrongSchema { found } => assert_eq!(found, "intertubes-snapshot/v2"),
+        other => panic!("expected WrongSchema, got {other}"),
+    }
+}
+
+/// The sections a v3 encoder wrote — the same bytes as v4's — under a
+/// v3 header sealed with byte-serial FNV-1a are refused by name, before
+/// any checksum is compared: there is no v3 reader beside v4.
+#[test]
+fn v3_containers_are_rejected_as_a_wrong_schema() {
+    let v4 = tiny_snapshot().to_bytes().unwrap();
+    let bounds = section_bounds(&v4).expect("a fresh container must locate its sections");
+    let payload = &v4[bounds.payload.0..bounds.payload.1];
+    let (lm_start, lm_end) = bounds.landmarks.expect("tiny_snapshot carries landmarks");
+    let landmarks = &v4[lm_start..lm_end];
+    let header = format!(
+        "{{\"schema\":\"intertubes-snapshot/v3\",\"payload_len\":{},\"checksum\":\"{:016x}\",\
+         \"landmarks_len\":{},\"landmarks_checksum\":\"{:016x}\"}}",
+        payload.len(),
+        fnv1a64(payload),
+        landmarks.len(),
+        fnv1a64(landmarks)
+    );
+    let mut v3 = SNAPSHOT_MAGIC.to_vec();
+    v3.extend_from_slice(&(header.len() as u64).to_le_bytes());
+    v3.extend_from_slice(header.as_bytes());
+    v3.extend_from_slice(payload);
+    v3.extend_from_slice(landmarks);
+    match StudySnapshot::from_bytes(&v3).unwrap_err() {
+        SnapshotError::WrongSchema { found } => assert_eq!(found, "intertubes-snapshot/v3"),
         other => panic!("expected WrongSchema, got {other}"),
     }
 }
