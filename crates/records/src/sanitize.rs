@@ -8,10 +8,12 @@
 //! whose city labels cannot resolve, flags contradictory right-of-way
 //! claims, and reports exactly what it did.
 
+use std::collections::HashMap;
+
 use intertubes_degrade::{DegradationAction, DegradationPolicy, DegradationReport};
 
 use crate::corpus::Corpus;
-use crate::document::Document;
+use crate::document::{Document, RowHint};
 use crate::RecordsError;
 
 /// Whether a city label is structurally resolvable: generated labels are
@@ -26,14 +28,11 @@ pub fn document_is_corrupt(doc: &Document) -> bool {
     doc.cities.iter().any(|c| label_is_corrupt(c))
 }
 
-fn pair_of(doc: &Document) -> Option<(String, String)> {
+/// The document's first two city labels, in ascending order.
+fn pair_of(doc: &Document) -> Option<(&str, &str)> {
     let a = doc.cities.first()?;
     let b = doc.cities.get(1)?;
-    Some(if a <= b {
-        (a.clone(), b.clone())
-    } else {
-        (b.clone(), a.clone())
-    })
+    Some(if a <= b { (a, b) } else { (b, a) })
 }
 
 /// Counts "amendment conflicts": a later document naming the same city
@@ -44,19 +43,22 @@ fn pair_of(doc: &Document) -> Option<(String, String)> {
 /// contradictions by majority vote — but they are surfaced as
 /// `Unvalidated` so the report quantifies how much of the row evidence is
 /// disputed.
+///
+/// One pass: the distinct claims seen so far are kept per (city pair,
+/// provider list), so each document is checked against its own group
+/// rather than against every earlier document.
 pub fn count_row_conflicts(docs: &[Document]) -> usize {
+    let mut claims: HashMap<(&str, &str, &[String]), Vec<RowHint>> = HashMap::new();
     let mut conflicts = 0usize;
-    for (j, later) in docs.iter().enumerate() {
-        let Some(row_j) = later.row else { continue };
-        let Some(pair_j) = pair_of(later) else {
+    for doc in docs {
+        let (Some(row), Some((a, b))) = (doc.row, pair_of(doc)) else {
             continue;
         };
-        let disputed = docs[..j].iter().any(|earlier| {
-            earlier.row.is_some_and(|r| r != row_j)
-                && earlier.isps == later.isps
-                && pair_of(earlier).as_ref() == Some(&pair_j)
-        });
-        conflicts += disputed as usize;
+        let seen = claims.entry((a, b, &doc.isps)).or_default();
+        conflicts += seen.iter().any(|&r| r != row) as usize;
+        if !seen.contains(&row) {
+            seen.push(row);
+        }
     }
     conflicts
 }
