@@ -103,7 +103,7 @@ fn experiments() -> Result<(), GeoError> {
 
     // Substrate microbenches: the primitives everything above leans on.
     let graph = s.built.map.graph();
-    let csr = graph.to_csr();
+    let csr = s.built.map.csr();
     let lengths = s.built.map.conduit_km();
     let km = |e: EdgeId| lengths[e.index()];
     let (first, last, middle) = (
@@ -220,7 +220,7 @@ fn ablations() -> Result<(), GeoError> {
     }
 
     // Yen k: the cost of widening the "existing paths" sample.
-    let csr = s.built.map.graph().to_csr();
+    let csr = s.built.map.csr();
     let lengths = s.built.map.conduit_km();
     let km = |e: EdgeId| lengths[e.index()];
     let (src, dst) = (NodeId(0), NodeId((csr.node_count() / 2) as u32));

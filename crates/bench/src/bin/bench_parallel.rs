@@ -51,7 +51,7 @@ fn round3(x: f64) -> f64 {
 /// (fresh scratch per query) and warm (scratch reused across queries).
 fn path_query_us(s: &intertubes::Study) -> serde_json::Value {
     let map = &s.built.map;
-    let csr = map.graph().to_csr();
+    let csr = map.csr();
     let lengths = map.conduit_km();
     let km = |e: EdgeId| lengths[e.index()];
     let landmarks = Landmarks::build(&csr, DEFAULT_LANDMARK_COUNT, km).ok();

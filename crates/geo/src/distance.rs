@@ -25,11 +25,21 @@ pub const FIBER_US_PER_KM: f64 = 1e6 * 1.468 / SPEED_OF_LIGHT_KM_PER_S;
 /// geographic uncertainty of any fiber-route data; the paper's analysis
 /// tolerates tens of kilometers.
 pub fn haversine_km(a: &GeoPoint, b: &GeoPoint) -> f64 {
-    let lat1 = a.lat.to_radians();
-    let lat2 = b.lat.to_radians();
+    haversine_km_cos(a, b, lat_cos(a), lat_cos(b))
+}
+
+/// The cosine of `p`'s latitude, as [`haversine_km`] computes it.
+pub(crate) fn lat_cos(p: &GeoPoint) -> f64 {
+    p.lat.to_radians().cos()
+}
+
+/// [`haversine_km`] given each endpoint's [`lat_cos`], so a path can
+/// compute each vertex's cosine once: the same operations in the same
+/// order, hence the same bits.
+pub(crate) fn haversine_km_cos(a: &GeoPoint, b: &GeoPoint, cos_a: f64, cos_b: f64) -> f64 {
     let dlat = (b.lat - a.lat).to_radians();
     let dlon = (b.lon - a.lon).to_radians();
-    let h = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+    let h = (dlat / 2.0).sin().powi(2) + cos_a * cos_b * (dlon / 2.0).sin().powi(2);
     2.0 * EARTH_RADIUS_KM * h.sqrt().asin()
 }
 

@@ -1,5 +1,6 @@
 use serde::{Deserialize, Serialize};
 
+use crate::distance::{haversine_km_cos, lat_cos};
 use crate::{GeoError, GeoPoint};
 
 /// A geographic path: the geometry of a fiber route, road, or railway.
@@ -58,7 +59,20 @@ impl Polyline {
 
     /// Total geodesic length in kilometers.
     pub fn length_km(&self) -> f64 {
-        self.segments().map(|(a, b)| a.distance_km(b)).sum()
+        self.segment_km().sum()
+    }
+
+    /// Each segment's [`haversine_km`](crate::haversine_km), in order,
+    /// computing each vertex's latitude cosine once for the two segments
+    /// that meet there.
+    fn segment_km(&self) -> impl Iterator<Item = f64> + '_ {
+        let mut cos_a = lat_cos(&self.points[0]);
+        self.segments().map(move |(a, b)| {
+            let cos_b = lat_cos(b);
+            let km = haversine_km_cos(a, b, cos_a, cos_b);
+            cos_a = cos_b;
+            km
+        })
     }
 
     /// The point at fraction `t ∈ [0, 1]` of the total length.
@@ -73,7 +87,7 @@ impl Polyline {
     /// [`Polyline::point_at_fraction`] returns for each, from one pass of
     /// segment lengths instead of one per fraction.
     pub fn points_at_fractions<const N: usize>(&self, ts: [f64; N]) -> [GeoPoint; N] {
-        let seg_km: Vec<f64> = self.segments().map(|(a, b)| a.distance_km(b)).collect();
+        let seg_km: Vec<f64> = self.segment_km().collect();
         let total: f64 = seg_km.iter().sum();
         ts.map(|t| self.walk(t.clamp(0.0, 1.0) * total, seg_km.iter().copied()))
     }
@@ -82,7 +96,7 @@ impl Polyline {
     ///
     /// Clamped to the endpoints.
     pub fn point_at_distance(&self, km: f64) -> GeoPoint {
-        self.walk(km, self.segments().map(|(a, b)| a.distance_km(b)))
+        self.walk(km, self.segment_km())
     }
 
     /// [`Polyline::point_at_distance`] over given segment lengths (`seg_km`

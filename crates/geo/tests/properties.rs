@@ -11,12 +11,37 @@ fn conus_point() -> impl Strategy<Value = GeoPoint> {
     (25.0f64..49.0, -124.0f64..-67.0).prop_map(|(lat, lon)| GeoPoint::new_unchecked(lat, lon))
 }
 
+/// Strategy: points anywhere on the globe, a tenth of them exactly at
+/// each pole (latitudes drawn past ±90° clamp to it).
+fn any_point() -> impl Strategy<Value = GeoPoint> {
+    (-100.0f64..100.0, -180.0f64..180.0)
+        .prop_map(|(lat, lon)| GeoPoint::new_unchecked(lat.clamp(-90.0, 90.0), lon))
+}
+
 /// Bit patterns of a point, for exact comparison.
 fn bits(p: GeoPoint) -> (u64, u64) {
     (p.lat.to_bits(), p.lon.to_bits())
 }
 
 proptest! {
+    /// `length_km` computes each vertex's latitude cosine once for the two
+    /// segments meeting there, yet returns the bits of summing each
+    /// segment's own `haversine_km` in order: with repeated vertices, both
+    /// ways round, and at the poles.
+    #[test]
+    fn length_is_the_in_order_sum_of_segment_haversines(
+        pts in prop::collection::vec((any_point(), 0usize..3), 1..9),
+    ) {
+        let pts: Vec<GeoPoint> =
+            pts.into_iter().flat_map(|(p, k)| std::iter::repeat_n(p, k + 1)).collect();
+        let reversed: Vec<GeoPoint> = pts.iter().rev().copied().collect();
+        for pts in [pts, reversed] {
+            let Ok(pl) = Polyline::new(pts) else { return Ok(()) };
+            let sum: f64 = pl.segments().map(|(a, b)| haversine_km(a, b)).sum();
+            prop_assert_eq!(pl.length_km().to_bits(), sum.to_bits());
+        }
+    }
+
     /// One pass of segment lengths serves every fraction exactly as a
     /// fresh `point_at_fraction` would: on polylines with zero-length
     /// segments (repeated vertices), both ways round, at both ends, at the

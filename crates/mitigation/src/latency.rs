@@ -149,7 +149,7 @@ impl PairPaths {
 /// snapshots freeze. The selection is deterministic, so a rebuild is
 /// bit-identical.
 pub fn build_landmarks(map: &FiberMap) -> Option<Landmarks> {
-    let csr = map.graph().to_csr();
+    let csr = map.csr();
     let km = map.conduit_km();
     // km costs are non-negative by construction; `None` (no pruning) is
     // the graceful fallback if that were ever violated.
@@ -189,7 +189,7 @@ pub fn pair_paths(
     // Conduit `i` is edge `i` of the map graph, so an edge id indexes `km`
     // and names the conduit a route traverses.
     let yen = par_yen_k_shortest_csr(
-        &map.graph().to_csr(),
+        &map.csr(),
         &queries,
         k,
         |e: EdgeId| km[e.index()],

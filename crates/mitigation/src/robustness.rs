@@ -81,10 +81,9 @@ pub fn robustness_suggestion_weighted(
     let mut span = intertubes_obs::stage("mitigation.robustness");
     span.items("heavy_conduits", heavy.len());
     span.items("isps", rm.isp_count());
-    let graph = map.graph();
-    let csr = graph.to_csr();
+    let csr = map.csr();
     // Shared-risk cost of traversing a conduit (eq. 1's SR term).
-    let risk_of = |e: EdgeId| rm.shared[graph.edge(e).index()] as f64;
+    let risk_of = |e: EdgeId| rm.shared[e.index()] as f64;
 
     let mut per_isp: Vec<IspRobustness> = Vec::new();
     let mut peer_votes: Vec<HashMap<String, f64>> =
@@ -98,7 +97,7 @@ pub fn robustness_suggestion_weighted(
         let original_risk = rm.shared[hc.index()] as f64;
         // Mask the heavy conduit itself; eq. 1 searches E_A, all alternate
         // paths over existing conduits. Edge ids equal conduit indices
-        // (`FiberMap::graph` adds edges in conduit order).
+        // (`FiberMap::csr` adds edges in conduit order).
         let masked = |e: EdgeId| {
             if e.index() == hc.index() {
                 f64::INFINITY
@@ -120,7 +119,7 @@ pub fn robustness_suggestion_weighted(
         let alt_max_risk = alt
             .edges
             .iter()
-            .map(|e| rm.shared[graph.edge(*e).index()] as f64)
+            .map(|e| rm.shared[e.index()] as f64)
             .fold(0.0, f64::max);
         let pi = (alt.hops() as f64 - 1.0).max(0.0);
         let srr = (original_risk - alt_max_risk).max(0.0);
@@ -135,7 +134,7 @@ pub fn robustness_suggestion_weighted(
             // path's conduits — they are the ones to buy transit/IRU from.
             let mut seen: HashMap<usize, usize> = HashMap::new();
             for e in &alt.edges {
-                let c = graph.edge(*e).index();
+                let c = e.index();
                 for (j, uses) in rm.uses.iter().enumerate() {
                     if j != i && uses[c] {
                         *seen.entry(j).or_insert(0) += 1;
@@ -192,9 +191,8 @@ pub fn robustness_suggestion_weighted(
 /// endpoints. The paper found most existing paths already optimal, making
 /// the 12 heavy links the profitable targets.
 pub fn already_optimal_fraction(map: &FiberMap, rm: &RiskMatrix) -> f64 {
-    let graph = map.graph();
-    let csr = graph.to_csr();
-    let risk_of = |e: EdgeId| rm.shared[graph.edge(e).index()] as f64;
+    let csr = map.csr();
+    let risk_of = |e: EdgeId| rm.shared[e.index()] as f64;
     // One independent point query per conduit, masking only that conduit
     // via infinite cost (edge ids equal conduit indices).
     let indices: Vec<usize> = (0..map.conduits.len()).collect();

@@ -563,11 +563,10 @@ impl<'a> OverlayIndex<'a> {
 /// joining a hop pair and for the gap-fill searches between hops that
 /// share no conduit, and those searches' trees.
 struct HopRoutes {
-    /// `map.graph()` frozen: conduit `i` is edge `i`, and each node lists
-    /// its conduits in ascending id order.
+    /// `map.csr()`: conduit `i` is edge `i`, and each node lists its
+    /// conduits in ascending id order.
     csr: CsrGraph,
-    /// Conduit length per edge, km (`map.graph()` adds conduit `i` as
-    /// edge `i`).
+    /// Conduit length per edge, km (conduit `i` is edge `i`).
     km: Vec<f64>,
     /// Shortest-path tree per map node, grown once on first use by any
     /// shard; `None` when the node's component holds an invalid length.
@@ -576,7 +575,7 @@ struct HopRoutes {
 
 impl HopRoutes {
     fn new(map: &FiberMap) -> HopRoutes {
-        let csr = map.graph().to_csr();
+        let csr = map.csr();
         HopRoutes {
             trees: (0..csr.node_count()).map(|_| OnceLock::new()).collect(),
             csr,

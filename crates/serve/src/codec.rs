@@ -17,8 +17,6 @@
 
 #![deny(clippy::indexing_slicing)]
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use intertubes_geo::{GeoPoint, Polyline};
 use intertubes_graph::Landmarks;
 use intertubes_map::{
@@ -346,6 +344,15 @@ impl Strings {
                 self.table.len()
             )),
         }
+    }
+
+    /// The strings `ids` name, in order.
+    fn get_all(&mut self, ids: &[u32]) -> Result<Vec<String>> {
+        let mut out = Vec::with_capacity(ids.len());
+        for &id in ids {
+            out.push(self.get(id)?);
+        }
+        Ok(out)
     }
 
     fn all_used(&self) -> Result<()> {
@@ -693,6 +700,9 @@ fn write_overlay(w: &mut Writer, ids: &StringIds<'_>, o: &Overlay) -> Result<()>
     Ok(())
 }
 
+/// Every set, and the provider key column, is read strictly ascending, so
+/// each collects in bulk rather than one insert at a time, and a set's
+/// conduit ids are all in range when its last one is.
 fn read_overlay(r: &mut Reader<'_>, strings: &mut Strings, conduits: usize) -> Result<Overlay> {
     let overlaid = r.usize()?;
     let skipped = r.usize()?;
@@ -707,24 +717,22 @@ fn read_overlay(r: &mut Reader<'_>, strings: &mut Strings, conduits: usize) -> R
     let mut names = r.u32s(total(counts.clone()))?;
     let mut observed_isps = Vec::with_capacity(n);
     for count in counts {
-        let mut set = BTreeSet::new();
-        for id in read_ascending(&mut names, count as usize)? {
-            set.insert(strings.get(id)?);
-        }
-        observed_isps.push(set);
+        let ids = read_ascending(&mut names, count as usize)?;
+        observed_isps.push(strings.get_all(&ids)?.into_iter().collect());
     }
     let k = r.count(8)?;
-    let keys = read_ascending(&mut r.u32s(k)?, k)?;
+    let keys = strings.get_all(&read_ascending(&mut r.u32s(k)?, k)?)?;
     let sizes = r.u32s(k)?;
     let mut members = r.u32s(total(sizes.clone()))?;
-    let mut isp_conduits = BTreeMap::new();
-    for (key, size) in keys.into_iter().zip(sizes) {
-        let mut set = BTreeSet::new();
-        for c in read_ascending(&mut members, size as usize)? {
-            set.insert(below(c, conduits, "overlay conduit id")?);
+    let mut sets = Vec::with_capacity(k);
+    for size in sizes {
+        let ids = read_ascending(&mut members, size as usize)?;
+        if let Some(&last) = ids.last() {
+            below(last, conduits, "overlay conduit id")?;
         }
-        isp_conduits.insert(strings.get(key)?, set);
+        sets.push(ids.into_iter().collect());
     }
+    let isp_conduits = keys.into_iter().zip(sets).collect();
     Ok(Overlay {
         conduit_freq,
         west_east,
@@ -773,10 +781,12 @@ fn read_paths(r: &mut Reader<'_>, nodes: usize, conduits: usize) -> Result<PathI
     for (((a, b), (row_us, los_us)), count) in cols {
         let mut paths = Vec::with_capacity(count as usize);
         for (km, len) in km.by_ref().zip(hops.by_ref()).take(count as usize) {
-            let conduits = (ids.by_ref().take(len as usize))
-                .map(|c| below(c, conduits, "route conduit id"))
-                .collect::<Result<_>>()?;
-            paths.push(PathSummary { km, conduits });
+            let route: Vec<u32> = ids.by_ref().take(len as usize).collect();
+            (route.iter()).try_for_each(|&c| below(c, conduits, "route conduit id").map(drop))?;
+            paths.push(PathSummary {
+                km,
+                conduits: route,
+            });
         }
         pairs.push(PairPaths {
             a: below(a, nodes, "pair node id")?,

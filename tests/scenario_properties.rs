@@ -134,7 +134,7 @@ fn fixture() -> &'static Fixture {
 /// Evaluates `plan` over the toy fixture at the given thread count.
 fn eval_at(threads: usize, plan: &ScenarioPlan) -> intertubes::scenario::ConditionalRisk {
     let f = fixture();
-    let csr = f.map.graph().to_csr();
+    let csr = f.map.csr();
     let postings = RouteIndex::new(&f.pairs, f.map.conduits.len());
     let cuts = CutEvaluator::new(&f.map, &f.isps);
     let ctx = EvalContext {
