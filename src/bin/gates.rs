@@ -63,6 +63,11 @@ const MEDIAN_RUNS: usize = 5;
 /// The per-query path-engine timings the `latency_paths` row must carry.
 const PATH_QUERY_FIELDS: &str = "csr_dijkstra_cold csr_dijkstra_warm csr_alt_cold csr_alt_warm";
 
+/// The fields a BENCH_serve record must carry: the rebuild, save, load and
+/// engine-freeze medians, then the replay's headline.
+const SERVE_FIELDS: &str =
+    "rebuild_ms save_ms load_ms engine_ms p50_us p99_us hit_rate max_queue_depth";
+
 /// Stages each traced run profile must record: the whole pipeline for
 /// `export`, the scheduler for `serve`, the ensemble for `scenario`, and
 /// the transport spans around the scheduler for `serve --listen`. The
@@ -187,8 +192,7 @@ fn table() -> Vec<(&'static str, Vec<Step>)> {
         replay("t2", 2, "--stats /dev/null"),
         replay("t8", 8, "--stats /dev/null"),
         replay("t2-nocache", 2, "--no-cache --stats /dev/null"),
-        bench("bench_serve", "BENCH_serve.json",
-              "rebuild_ms save_ms load_ms p50_us p99_us hit_rate max_queue_depth"),
+        bench("bench_serve", "BENCH_serve.json", SERVE_FIELDS),
     ];
 
     // Every built-in chaos scenario under both policies exits 0 or 3 (never
@@ -856,6 +860,28 @@ mod tests {
         for needle in ["serve/t1", "serve/t8", "b.jsonl", "byte 5"] {
             assert!(msg.contains(needle), "{msg:?} does not name {needle}");
         }
+    }
+
+    #[test]
+    fn a_serve_record_missing_engine_ms_fails() {
+        let serve = Bench {
+            bin: "bench_serve",
+            record: "BENCH_serve.json",
+            fields: SERVE_FIELDS,
+            floors: |doc, _| deterministic(doc),
+            median_by: None,
+        };
+        let record = |skip: &str| {
+            let mut fields: serde_json::Map = (SERVE_FIELDS.split_whitespace())
+                .filter(|&f| f != skip)
+                .map(|f| (f.to_string(), json!(1.0)))
+                .collect();
+            fields.insert("deterministic".into(), json!(true));
+            Value::Object(fields)
+        };
+        assert_eq!(check_bench(&record(""), None, &serve), Ok(()));
+        let msg = err(check_bench(&record("engine_ms"), None, &serve));
+        assert!(msg.contains("missing \"engine_ms\""), "{msg:?}");
     }
 
     #[test]
