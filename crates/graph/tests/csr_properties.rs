@@ -50,6 +50,25 @@ fn arb_tied_graph() -> impl Strategy<Value = (MultiGraph<(), f64>, usize)> {
 }
 
 proptest! {
+    /// The counting-sort CSR lists each node's half-edges exactly as the
+    /// graph's own adjacency does: same degree, same (edge, neighbour)
+    /// sequence, same endpoints, on graphs with parallel edges, self-loops
+    /// and isolated nodes.
+    #[test]
+    fn csr_mirrors_the_adjacency_lists((g, _n) in arb_graph()) {
+        let csr = g.to_csr();
+        prop_assert_eq!(csr.node_count(), g.node_count());
+        prop_assert_eq!(csr.edge_count(), g.edge_count());
+        for n in g.node_ids() {
+            prop_assert_eq!(csr.degree(n), g.degree(n));
+            let want: Vec<_> = g.neighbors(n).collect();
+            prop_assert_eq!(csr.neighbors(n).collect::<Vec<_>>(), want, "node {:?}", n);
+        }
+        for e in g.edge_ids() {
+            prop_assert_eq!(csr.endpoints(e), g.endpoints(e));
+        }
+    }
+
     /// The CSR point query returns bit-identical paths to `dijkstra` for
     /// every pair, across repeated reuses of one scratch state.
     #[test]
